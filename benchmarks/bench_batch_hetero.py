@@ -1,17 +1,20 @@
 """Heterogeneous-lane batch kernel benchmark: ``BENCH_batch_hetero.json``.
 
-Measures what the *masked* heterogeneous-lane path of the batch kernel
-(``repro.sim.batch``) costs and buys: device-ticks per wall-clock second
-stepping N lanes whose session durations span a 50% spread (lane ``d``
-replays between half and all of the paper's Fig. 1 session), versus the
-scalar kernel replaying the identical trace, and versus the homogeneous
-(unmasked) batch path as the overhead reference.
+Measures what heterogeneous lanes cost and buy in the batch kernel
+(``repro.sim.batch``): device-ticks per wall-clock second stepping N lanes
+whose session durations span a 50% spread (lane ``d`` replays between half
+and all of the paper's Fig. 1 session; reported as ``masked``), versus the
+scalar kernel replaying the identical trace, and versus a uniform batch
+(``uniform``) as the overhead reference.  Both batch sides run the
+kernel's one lane-schedule tick loop: ``uniform`` is that loop with a
+single segment and no dead lanes, ``masked`` the same loop with lanes
+retiring at their own budgets.
 
-Mixed-duration fleets previously fell back to N scalar runs; the masked
-kernel keeps them in one struct-of-arrays loop, zeroing finished lanes out
-of each stage without perturbing live lanes' IEEE-754 op order (per-lane
-bit-identity is pinned by ``tests/test_batch_kernel.py``), so this is a
-pure throughput comparison of routes to the same output.
+Mixed-duration fleets previously fell back to N scalar runs; the lane
+schedule keeps them in one struct-of-arrays loop, zeroing finished lanes
+out of each stage without perturbing live lanes' IEEE-754 op order
+(per-lane bit-identity is pinned by ``tests/test_batch_kernel.py``), so
+this is a pure throughput comparison of routes to the same output.
 
 All sides are measured back to back in the *same process* (best of
 ``--repeat``): shared-runner wall clocks drift enough between runs that
@@ -53,7 +56,7 @@ from repro.workloads.session import FIGURE1_SESSION, SessionSegment
 from repro.workloads.trace import TracePlayer
 
 #: Fleet widths measured per profile.  N=256 is the width the batch kernel's
-#: acceptance bar is stated at, so the masked path is gated there too.
+#: acceptance bar is stated at, so mixed-duration lanes are gated there too.
 DEVICE_COUNTS = {"full": (256,), "fast": (256,)}
 
 #: Simulated seconds of the Fig. 1 session replayed per profile (full = the
@@ -87,7 +90,7 @@ def _lane_durations(n: int, total_s: float):
 
 
 def measure(profile: str = "full", repeat: int = 3) -> dict:
-    """Measure scalar, homogeneous and masked throughput in one sitting."""
+    """Measure scalar, uniform and mixed-duration throughput in one sitting."""
     from repro.sim.batch import BatchSimulation  # needs NumPy; import late
 
     platform = exynos9810()
@@ -140,7 +143,7 @@ def measure(profile: str = "full", repeat: int = 3) -> dict:
         )
 
     for n in DEVICE_COUNTS[profile]:
-        # The masked run steps fewer device-ticks than n * ticks: each lane
+        # The mixed run steps fewer device-ticks than n * ticks: each lane
         # only runs its own budget.  Throughput is per *stepped* device-tick.
         clock = make_batch(1).devices[0].clock
         masked_ticks = sum(

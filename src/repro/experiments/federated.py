@@ -147,10 +147,10 @@ def train_device_rounds_batched(
     suite pins the sample streams, the federated parity tests the merged
     agents).  Jobs of one round share platform and overrides by construction
     (:meth:`FleetBuild.round_jobs`); episode budgets and durations may differ
-    per device (intensity-weighted non-IID fleets) -- mixed-duration episodes
-    route through the masked heterogeneous kernel, and a lane whose budget is
-    exhausted or whose agent converged simply drops out of later episodes
-    instead of forcing the fleet into lockstep.
+    per device (intensity-weighted non-IID fleets) -- the kernel's lane
+    schedule retires each lane of a mixed-duration episode on its own tick,
+    and a lane whose budget is exhausted or whose agent converged simply
+    drops out of later episodes instead of forcing the fleet into lockstep.
     """
     if not jobs:
         return []

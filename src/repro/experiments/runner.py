@@ -319,8 +319,8 @@ def execute_cells_batched(
     All cells must share a platform and (cadence aside) config overrides
     (the grouping in :func:`batchable_cell_groups` guarantees it); each
     cell keeps its own trace, governor and simulation seeds, session
-    duration and recording cadence -- mixed durations and cadences run as
-    heterogeneous lanes under the masked kernel.  The batched
+    duration and recording cadence -- mixed durations and cadences are just
+    more segments of the kernel's one lane-schedule loop.  The batched
     device-population kernel is bit-identical per lane to the scalar
     :func:`execute_cell` path (pinned by the batch parity suite), so cached
     results from either route are interchangeable.
@@ -434,8 +434,9 @@ def batchable_cell_groups(
     frozen artifact resolved elsewhere), and only cells agreeing on
     platform and config overrides (recording cadence aside) can share one
     :class:`~repro.sim.batch.BatchSimulation`.  Session durations and
-    ``record_every_n_ticks`` overrides may differ within a group: mixed
-    cells run as heterogeneous lanes under the masked kernel.  Each group
+    ``record_every_n_ticks`` overrides may differ within a group: the
+    kernel's one lane-schedule loop retires each lane on its own budget and
+    cadence.  Each group
     is split into up to ``workers`` chunks of at least two cells so a
     process pool still spreads a large homogeneous sweep across its
     workers; singleton leftovers run scalar.

@@ -12,7 +12,7 @@ scalar-order loop and keeps the device axis purely element-wise; this rule
 pins that discipline.
 
 The scope covers every masked-update code path: the kernel itself (whose
-heterogeneous-lane loop masks finished lanes out of each stage) and the
+lane-schedule tick loop masks finished lanes out of each stage) and the
 batch recorder (whose per-row device masks gather lanes back apart).  A
 masked reduction is just as lane-crossing as an unmasked one -- boolean
 indexing selects lanes but the reduction over the survivors still

@@ -266,9 +266,16 @@ def mark_worker_process() -> None:
     the distinction between "worker" and "orchestrator" is structural
     rather than guessed from process ancestry.  Never unset: a process that
     was ever a pool worker stays expendable.
+
+    Also empties the metrics registry: a fork()ed worker inherits the
+    orchestrator's counters, and its per-task flushes must carry only its
+    own deltas (the same fork-inheritance the tracer guards against).
     """
     global _crash_exits_process
+    from repro.obs.metrics import reset_metrics
+
     _crash_exits_process = True
+    reset_metrics()
 
 
 def in_worker_process() -> bool:

@@ -26,6 +26,7 @@ pytest.importorskip("numpy")  # the batch kernel is NumPy-backed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.profile import STAGES, profiled
 from repro.sim.batch import BatchSimulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SessionWorkload, Simulation
@@ -124,37 +125,78 @@ class TestMidRunAggregation:
     def test_split_run_equals_scalar_split_run(self):
         platform = make_platform("exynos9810")
         n_devices = 3
+        # Lanes sharing a budget end on the same tick whatever their
+        # recording cadences, so mixed cadences may resume too.
+        for cadences in ((1, 1, 1), (1, 2, 3)):
+            configs = [
+                SimulationConfig(
+                    refresh_hz=platform.display_refresh_hz,
+                    duration_s=4.0,
+                    seed=device,
+                    record_every_n_ticks=cadences[device],
+                )
+                for device in range(n_devices)
+            ]
+            batch = BatchSimulation(
+                platform,
+                [make_governor("schedutil") for _ in range(n_devices)],
+                configs,
+            )
+            workloads = [
+                SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+                for device in range(n_devices)
+            ]
+            # Two half-duration run() calls: state (thermal, governor,
+            # pipeline, recorder) persists across the boundary, as a
+            # federated scheduler needs when it aggregates between episodes.
+            batch.run(workloads, duration_s=2.0)
+            assert batch.tick_count == 120
+            batch.run(workloads, duration_s=2.0)
+            for device in range(n_devices):
+                simulation = Simulation(
+                    platform, make_governor("schedutil"), configs[device]
+                )
+                workload = SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+                simulation.run(workload, duration_s=2.0)
+                simulation.run(workload, duration_s=2.0)
+                assert sample_stream_hash(
+                    batch.device_recorder(device).samples
+                ) == sample_stream_hash(simulation.recorder.samples), (
+                    f"lane {device} diverged (cadences {cadences})"
+                )
+
+
+class TestProfiledBatch:
+    """The opt-in hot-loop profiler sees every stage of the batch loop."""
+
+    def test_profiled_mixed_governor_batch_buckets_all_stages(self):
+        platform = make_platform("exynos9810")
+        # Schedutil takes the vectorised update_batch path, conservative
+        # the per-lane _invoke_governor path; both count as "governor".
+        governor_names = ("schedutil", "conservative", "schedutil", "conservative")
         configs = [
             SimulationConfig(
-                refresh_hz=platform.display_refresh_hz, duration_s=4.0, seed=device
+                refresh_hz=platform.display_refresh_hz, duration_s=2.0, seed=device
             )
-            for device in range(n_devices)
+            for device in range(len(governor_names))
         ]
         batch = BatchSimulation(
-            platform,
-            [make_governor("schedutil") for _ in range(n_devices)],
-            configs,
+            platform, [make_governor(name) for name in governor_names], configs
         )
-        workloads = [
-            SessionWorkload(FIGURE1_SESSION.segments, seed=device)
-            for device in range(n_devices)
-        ]
-        # Two half-duration run() calls: state (thermal, governor, pipeline,
-        # recorder) persists across the boundary, as a federated scheduler
-        # needs when it aggregates between episodes.
-        batch.run(workloads, duration_s=2.0)
-        assert batch.tick_count == 120
-        batch.run(workloads, duration_s=2.0)
-        for device in range(n_devices):
-            simulation = Simulation(
-                platform, make_governor("schedutil"), configs[device]
+        with profiled(stride=1) as profiler:
+            batch.run(
+                [
+                    SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+                    for device in range(len(governor_names))
+                ]
             )
-            workload = SessionWorkload(FIGURE1_SESSION.segments, seed=device)
-            simulation.run(workload, duration_s=2.0)
-            simulation.run(workload, duration_s=2.0)
+        stages = profiler.snapshot()["stages"]
+        assert stages["governor"]["calls"] > 0
+        assert all(stages[stage]["calls"] > 0 for stage in STAGES)
+        for device, name in enumerate(governor_names):
             assert sample_stream_hash(
                 batch.device_recorder(device).samples
-            ) == sample_stream_hash(simulation.recorder.samples)
+            ) == scalar_device_hash("exynos9810", name, device, 0, 2.0)
 
 
 class TestBatchedFederatedRound:
@@ -373,14 +415,14 @@ class TestHeterogeneousLanes:
             )
 
     def test_single_lane_through_masked_path_matches_scalar(self):
-        """N=1 via the masked loop itself (``run()`` would fast-path it)."""
+        """N=1 through ``run()``: a one-lane, one-segment lane schedule."""
         platform = make_platform("exynos9810")
         config = SimulationConfig(
             refresh_hz=platform.display_refresh_hz, duration_s=2.0, seed=5
         )
         batch = BatchSimulation(platform, [make_governor("schedutil")], [config])
         workload = SessionWorkload(FIGURE1_SESSION.segments, seed=5)
-        batch._run_ticks_masked([workload], [batch._ref.clock.ticks_for(2.0)])
+        batch.run([workload], duration_s=2.0)
         assert sample_stream_hash(
             batch.device_recorder(0).samples
         ) == scalar_device_hash("exynos9810", "schedutil", 0, 5, 2.0)

@@ -267,6 +267,29 @@ class TestTracedSweeps:
         # Deactivation restored the environment for the next run.
         assert not tracing_active()
 
+    def test_cache_misses_do_not_depend_on_worker_count(self, tmp_path):
+        """Forked pool workers start from an empty metrics registry.
+
+        A worker that inherited the orchestrator's counters would flush
+        them again as its first per-task delta, inflating the merged
+        ``cache.miss`` by the parent's count once per worker footer.
+        """
+        matrix = small_matrix()
+        merged = {}
+        for workers in (1, 2):
+            reset_metrics()
+            path = str(tmp_path / f"workers-{workers}" / TRACE_BASENAME)
+            with traced(path):
+                sweep = SweepRunner(
+                    max_workers=workers,
+                    cache_dir=str(tmp_path / f"cache-{workers}"),
+                ).run(matrix)
+            assert not sweep.failures
+            events, _ = read_trace(path)
+            merged[workers] = report_payload(events)["metrics"]["counters"]
+        assert merged[1]["cache.miss"] == len(matrix.cells())
+        assert merged[2]["cache.miss"] == merged[1]["cache.miss"]
+
     def test_tracing_does_not_perturb_results(self, tmp_path):
         matrix = small_matrix()
         bare = cell_hashes(SweepRunner(max_workers=1).run(matrix))
