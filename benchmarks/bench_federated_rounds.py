@@ -7,7 +7,8 @@ per-device round-0 artifacts across fleets that share a lineage, and
 (c) deepen an existing fleet by running only the missing rounds.  The
 benchmark times the three paths and asserts the resumed fleet is
 bit-identical to one trained from scratch -- the property that makes
-incremental fleet training trustworthy.
+incremental fleet training trustworthy.  Every path runs through a
+``max_workers=1`` sweep of one federated cell, as ``repro-sweep`` would.
 """
 
 import time
@@ -15,8 +16,9 @@ from dataclasses import replace
 
 from repro.analysis.tables import format_series_table
 from repro.core.federated import FleetSpec
-from repro.experiments.artifacts import ArtifactStore
-from repro.experiments.federated import FleetStore, train_fleet_artifact
+from repro.experiments.federated import train_fleet_artifact
+from repro.experiments.matrix import ScenarioMatrix
+from repro.experiments.runner import SweepRunner
 
 BASE_SPEC = FleetSpec(
     apps=("facebook",),
@@ -27,24 +29,46 @@ BASE_SPEC = FleetSpec(
     fleet_seed=0,
 )
 DEEP_ROUNDS = 3
+#: Simulated seconds of the one evaluation cell each sweep runs.
+EVAL_DURATION_S = 2.0
+
+
+def resolve_fleet(runner: SweepRunner, spec: FleetSpec):
+    """Sweep one federated cell of ``spec``'s fleet; return the stored fleet."""
+    matrix = ScenarioMatrix.build(
+        name="bench-federated",
+        governors=("next",),
+        apps=spec.apps,
+        platforms=(spec.platform,),
+        duration_s=EVAL_DURATION_S,
+        training={
+            "key": "federated",
+            "mode": "federated",
+            "episodes": spec.episodes,
+            "episode_duration_s": spec.episode_duration_s,
+            "seed": spec.fleet_seed,
+            "devices": spec.devices,
+            "rounds": spec.rounds,
+        },
+    )
+    sweep = runner.run(matrix)
+    assert not sweep.failures
+    return runner.fleets.load(spec)
 
 
 def test_fleet_resume_beats_retrain_from_scratch(benchmark, tmp_path):
     artifact_dir = str(tmp_path / "artifacts")
-    store = FleetStore(artifact_dir)
-    artifacts = ArtifactStore(artifact_dir)
+    runner = SweepRunner(max_workers=1, artifact_dir=artifact_dir)
+    store = runner.fleets
 
     started = time.perf_counter()
-    shallow, errors = store.ensure([BASE_SPEC], artifacts=artifacts)
+    resolve_fleet(runner, BASE_SPEC)
     scratch_s = time.perf_counter() - started
-    assert not errors
 
     deep_spec = replace(BASE_SPEC, rounds=DEEP_ROUNDS)
 
     def resume_deepening():
-        fleets, deep_errors = store.ensure([deep_spec], artifacts=artifacts)
-        assert not deep_errors
-        return fleets[deep_spec.fingerprint()]
+        return resolve_fleet(runner, deep_spec)
 
     started = time.perf_counter()
     resumed = benchmark.pedantic(resume_deepening, rounds=1, iterations=1)
@@ -57,10 +81,9 @@ def test_fleet_resume_beats_retrain_from_scratch(benchmark, tmp_path):
     assert resumed.to_dict() == from_scratch.to_dict()
 
     started = time.perf_counter()
-    served, errors = FleetStore(artifact_dir).ensure([deep_spec], artifacts=artifacts)
+    served = resolve_fleet(SweepRunner(max_workers=1, artifact_dir=artifact_dir), deep_spec)
     warm_s = time.perf_counter() - started
-    assert not errors
-    assert served[deep_spec.fingerprint()].to_dict() == from_scratch.to_dict()
+    assert served.to_dict() == from_scratch.to_dict()
 
     print()
     print(

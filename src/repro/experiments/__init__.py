@@ -7,12 +7,12 @@ as the machine allows:
 * :mod:`repro.experiments.matrix` -- declarative factorial designs
   (governors x workloads x platforms x seeds) expanding into
   deterministically seeded :class:`ScenarioCell` objects,
-* :mod:`repro.experiments.runner` -- sequential or process-pool execution
-  with failure isolation and an on-disk result cache keyed by cell
-  fingerprint,
+* :mod:`repro.experiments.runner` -- one event-loop scheduler that runs
+  on a process pool or, with one worker, in-process, with failure
+  isolation and an on-disk result cache keyed by cell fingerprint,
 * :mod:`repro.experiments.artifacts` -- trained-agent artifacts: each
-  distinct training spec is trained exactly once per sweep (in parallel,
-  through the same pool) and pretrained ``next`` cells evaluate the frozen
+  distinct training spec is trained exactly once per sweep (as a job of
+  the same scheduler) and pretrained ``next`` cells evaluate the frozen
   greedy policy,
 * :mod:`repro.experiments.federated` -- federated device fleets: N virtual
   devices train locally (round 0 through the artifact pipeline), a server

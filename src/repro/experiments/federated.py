@@ -8,8 +8,8 @@ This module simulates that fleet at sweep scale:
   mix.  Each device's initial training is an ordinary
   :class:`~repro.core.artifact.TrainingSpec`, so it runs through the same
   :class:`~repro.experiments.artifacts.ArtifactStore` pipeline as pretrained
-  cells -- parallelised across the sweep's process pool and cached by
-  fingerprint (two fleets sharing a device spec train it once),
+  cells -- scheduled by the sweep runner like any training job and cached
+  by fingerprint (two fleets sharing a device spec train it once),
 * after every round a server-side
   :class:`~repro.core.federated.FederatedAggregator` merges the per-app
   Q-tables visit-weighted and distributes the merged tables back, and each
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-import traceback
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionSpace
 from repro.core.agent import AgentConfig, NextAgent
@@ -127,6 +126,7 @@ def batch_kernel_available() -> bool:
 
 def train_device_rounds_batched(
     jobs: Sequence[Tuple[Any, ...]],
+    attempt: int = 0,
 ) -> List[Dict[str, Any]]:
     """One federated round's device jobs as a single batched step loop.
 
@@ -151,11 +151,21 @@ def train_device_rounds_batched(
     schedule retires each lane of a mixed-duration episode on its own tick,
     and a lane whose budget is exhausted or whose agent converged simply
     drops out of later episodes instead of forcing the fleet into lockstep.
+
+    ``attempt`` is the orchestrator's retry counter for the whole round.
+    Before any device steps, every job passes the same fault-injection seam
+    :func:`train_device_round` uses, under the same key (the device's round
+    seed), so a device-round fault plan fires on either route.
     """
     if not jobs:
         return []
-    with maybe_span("device_batch", devices=len(jobs)):
-        return _train_device_rounds_batched(jobs)
+    try:
+        with maybe_span("device_batch", devices=len(jobs), attempt=attempt):
+            for job in jobs:
+                fault_point(SITE_TRAIN_DEVICE_ROUND, str(job[5]), attempt)
+            return _train_device_rounds_batched(jobs)
+    finally:
+        flush_task_metrics()
 
 
 def _train_device_rounds_batched(
@@ -334,11 +344,12 @@ class FleetBuild:
     """Stepwise fleet training, for schedulers that interleave other work.
 
     :func:`train_fleet_artifact` is the one-call form; the sweep runner's
-    pool scheduler must instead overlap fleet rounds with unrelated cells
-    and trainings, so this class exposes the identical computation as
-    explicit steps: round-0 device specs in, per-round continuation jobs
-    out, finished artifact at the end.  Both forms share every helper in
-    the same order, so their results are bit-identical by construction.
+    scheduler must instead overlap fleet rounds with unrelated cells and
+    trainings (on a process pool or in-process alike), so this class
+    exposes the identical computation as explicit steps: round-0 device
+    specs in, per-round continuation jobs out, finished artifact at the
+    end.  Both forms share every helper in the same order, so their results
+    are bit-identical by construction.
 
     Life cycle::
 
@@ -477,40 +488,22 @@ class FleetBuild:
         )
 
 
-def _resolve_round0(
-    build: FleetBuild, artifacts: ArtifactStore, pool=None
-) -> Dict[str, Any]:
+def _resolve_round0(build: FleetBuild, artifacts: ArtifactStore) -> Dict[str, Any]:
     """Round-0 device artifacts for one build, via the artifact pipeline.
 
-    Stored device artifacts are served from the store; missing ones train --
-    across ``pool`` when one is given, otherwise in-process -- and are
-    persisted so later fleets (or re-runs) reuse them.
+    Stored device artifacts are served from the store; missing ones train
+    in-process and are persisted so later fleets (or re-runs) reuse them.
     """
     resolved: Dict[str, Any] = {}
-    missing: Dict[str, TrainingSpec] = {}
     for device_spec in build.device_specs():
         fingerprint = device_spec.fingerprint(build.agent_config)
-        if fingerprint in resolved or fingerprint in missing:
+        if fingerprint in resolved:
             continue
         artifact = artifacts.resolve(device_spec, build.agent_config)
-        if artifact is not None:
-            resolved[fingerprint] = artifact
-        else:
-            missing[fingerprint] = device_spec
-    if missing and pool is not None:
-        futures = {
-            fingerprint: pool.submit(train_artifact, device_spec, build.agent_config)
-            for fingerprint, device_spec in missing.items()
-        }
-        for fingerprint, future in futures.items():
-            artifact = future.result()
-            artifacts.accept(artifact)
-            resolved[fingerprint] = artifact
-    else:
-        for fingerprint, device_spec in missing.items():
+        if artifact is None:
             artifact = train_artifact(device_spec, build.agent_config)
             artifacts.accept(artifact)
-            resolved[fingerprint] = artifact
+        resolved[fingerprint] = artifact
     return resolved
 
 
@@ -518,33 +511,30 @@ def train_fleet_artifact(
     spec: FleetSpec,
     agent_config: Optional[AgentConfig] = None,
     artifacts: Optional[ArtifactStore] = None,
-    pool=None,
     start: Optional[FleetArtifact] = None,
 ) -> FleetArtifact:
     """Train one federated fleet per ``spec`` and freeze it into an artifact.
 
-    ``pool`` (any executor with ``submit``) parallelises the per-device
-    training of every round; the result is bit-identical with and without
-    one.  Without a pool, multi-device rounds run through the batched
-    device-population kernel when NumPy is available (one lockstep step loop
-    for the whole fleet instead of N sequential simulations) -- also
-    bit-identical, so the three paths cannot diverge.  ``start`` resumes a
-    same-lineage artifact with fewer rounds: only the missing rounds run,
-    and the outcome equals a from-scratch run of the full depth.
+    The in-process, one-call form of :class:`FleetBuild` (the sweep runner
+    schedules the same steps as executor jobs instead).  Multi-device
+    rounds run through the batched device-population kernel when NumPy is
+    available (one lockstep step loop for the whole fleet instead of N
+    sequential simulations) -- bit-identical to the per-device route, so
+    the two cannot diverge.  Each round runs under a ``federated_round``
+    span.  ``start`` resumes a same-lineage artifact with fewer rounds:
+    only the missing rounds run, and the outcome equals a from-scratch run
+    of the full depth.
     """
     build = FleetBuild(spec, agent_config=agent_config, start=start)
     store = artifacts if artifacts is not None else ArtifactStore(None)
     if build.needs_round0:
-        build.provide_round0(_resolve_round0(build, store, pool=pool))
+        build.provide_round0(_resolve_round0(build, store))
     while not build.finished:
         round_index, jobs = build.round_jobs()
         with maybe_span(
             "federated_round", round=round_index, devices=len(jobs)
         ):
-            if pool is not None:
-                futures = [pool.submit(train_device_round, *job) for job in jobs]
-                results = [future.result() for future in futures]
-            elif len(jobs) > 1 and batch_kernel_available():
+            if len(jobs) > 1 and batch_kernel_available():
                 results = train_device_rounds_batched(jobs)
             else:
                 results = [train_device_round(*job) for job in jobs]
@@ -710,53 +700,6 @@ class FleetStore:
                 except (OSError, ValueError, KeyError, TypeError):
                     continue
         return [by_fingerprint[key] for key in sorted(by_fingerprint)]
-
-    # -- bulk resolution ----------------------------------------------------------------
-
-    def ensure(
-        self,
-        specs: Iterable[FleetSpec],
-        artifacts: Optional[ArtifactStore] = None,
-        agent_config: Optional[AgentConfig] = None,
-        pool=None,
-    ) -> Tuple[Dict[str, FleetArtifact], Dict[str, str]]:
-        """Resolve every fleet spec to an artifact, training the missing ones.
-
-        Mirrors :meth:`ArtifactStore.ensure`: stored fleets are reused,
-        same-lineage shallower fleets are resumed, anything else trains from
-        scratch (round-0 device training still deduplicates through
-        ``artifacts``).  Returns ``(fleets, errors)`` keyed by fleet
-        fingerprint; a fleet whose training raised lands in ``errors`` with
-        its traceback so sweep failure isolation extends to federated
-        training.
-        """
-        device_artifacts = artifacts if artifacts is not None else ArtifactStore(None)
-        fleets: Dict[str, FleetArtifact] = {}
-        errors: Dict[str, str] = {}
-        for spec in specs:
-            fingerprint = spec.fingerprint(agent_config)
-            if fingerprint in fleets or fingerprint in errors:
-                continue
-            artifact = self.load(spec, agent_config)
-            if artifact is not None:
-                self.reused_count += 1
-                fleets[fingerprint] = artifact
-                continue
-            start = self.resume_candidate(spec, agent_config)
-            try:
-                artifact = train_fleet_artifact(
-                    spec,
-                    agent_config=agent_config,
-                    artifacts=device_artifacts,
-                    pool=pool,
-                    start=start,
-                )
-            except Exception:
-                errors[fingerprint] = traceback.format_exc()
-                continue
-            self.accept(artifact, resumed=start is not None)
-            fleets[fingerprint] = artifact
-        return fleets, errors
 
 
 def fleet_convergence_table(artifact: FleetArtifact) -> str:

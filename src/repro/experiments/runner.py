@@ -1,11 +1,13 @@
-"""Scenario-matrix execution: sequential or process-parallel, with caching.
+"""Scenario-matrix execution through one scheduler, with caching.
 
 The runner owns no simulation logic of its own: every cell funnels through
-:func:`execute_cell`, which records the cell's demand trace and hands it to
-:func:`repro.sim.experiment.run_trace` -- the same single-cell primitive the
-sequential helpers use.  Running with ``max_workers=1`` therefore produces
-bit-identical summaries to a pooled run, which the determinism regression
-tests assert.
+:func:`execute_cell` (or its batched form), which records the cell's demand
+trace and hands it to :func:`repro.sim.experiment.run_trace` -- the same
+single-cell primitive the sequential helpers use.  One event loop schedules
+every sweep: on a process pool, or -- with ``max_workers=1`` -- on an
+in-process executor that runs the same jobs one at a time in the
+orchestrator.  Both produce bit-identical summaries, which the determinism
+regression tests assert.
 
 Failure isolation: a cell that raises reports an error :class:`CellResult`
 (status ``"error"`` with the traceback) instead of killing the sweep, so a
@@ -20,11 +22,12 @@ A broken pool (crashed worker) or an expired watchdog deadline (hung
 worker) tears the pool down and rebuilds it, resubmitting only the cells
 that were in flight -- their attempt counters bumped so first-attempt-only
 injected faults cannot re-fire -- and after ``max_pool_rebuilds`` restarts
-the *remaining* cells (never the already-delivered ones) finish
-sequentially in the orchestrator, where injected crashes raise instead of
-exiting.  All of this is safe because of the bit-identity contract: a
-retried cell can only ever produce the same bytes the first attempt would
-have, which the chaos harness pins per cell via ``sample_stream_hash``.
+the *remaining* cells (never the already-delivered ones) finish through the
+same event loop on the in-process executor, where injected crashes raise
+instead of exiting.  All of this is safe because of the bit-identity
+contract: a retried cell can only ever produce the same bytes the first
+attempt would have, which the chaos harness pins per cell via
+``sample_stream_hash``.
 
 Caching: with a ``cache_dir``, each completed cell is written to
 ``<fingerprint>.json``; re-running a sweep serves completed cells from disk
@@ -38,14 +41,16 @@ import json
 import os
 import time
 import traceback
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
@@ -212,8 +217,8 @@ def run_cell_session(
     A pretrained cell evaluates the frozen greedy policy of its trained
     artifact, a federated cell the merged greedy agent of its trained fleet
     (``training=False`` either way), never a cold exploring agent.  The
-    sweep runner resolves artifacts up front through its
-    :class:`ArtifactStore` / :class:`FleetStore` and passes them in;
+    sweep runner resolves artifacts through its :class:`ArtifactStore` /
+    :class:`FleetStore` before the cell runs and passes them in;
     standalone callers may omit ``artifact``, in which case the cell's
     :class:`TrainingSpec` or :class:`FleetSpec` is trained inline --
     identical result, just without the train-once sharing.
@@ -678,21 +683,76 @@ class _PoolRestart(Exception):
         self.keys = keys
 
 
+class _InProcessExecutor:
+    """The scheduler's executor for work that runs in the orchestrator.
+
+    :meth:`submit` only queues the call and returns a pending
+    :class:`~concurrent.futures.Future`; :func:`_wait_first` runs the oldest
+    queued job and hands back just its future.  Jobs therefore run one at a
+    time in submission order, and each result is settled -- cached,
+    delivered or resubmitted -- before the next job starts, so an
+    interrupted sequential sweep resumes from exactly what completed.
+
+    A job's :class:`Exception` lands in its future, as it would on a process
+    pool; ``KeyboardInterrupt`` and every other non-``Exception``
+    :class:`BaseException` propagate.  This process is never marked as a
+    pool worker, so an injected crash raises here instead of exiting.
+    """
+
+    def __init__(self) -> None:
+        self._queue: Deque[Tuple[Future, Callable[..., Any], tuple, dict]] = deque()
+
+    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
+        """Queue ``fn(*args, **kwargs)``; it runs when :meth:`run_next` reaches it."""
+        future: Future = Future()
+        self._queue.append((future, fn, args, kwargs))
+        return future
+
+    def run_next(self) -> Future:
+        """Run the oldest queued job and return its (now finished) future."""
+        future, fn, args, kwargs = self._queue.popleft()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # repro-lint: disable=REP008 -- the future carries it to the scheduler, which classifies it
+            future.set_exception(exc)
+        return future
+
+
+def _wait_first(
+    executor: Union[ProcessPoolExecutor, _InProcessExecutor],
+    futures: Set[Future],
+    timeout: Optional[float],
+) -> Set[Future]:
+    """The scheduler's wait step: futures that finished, empty on timeout.
+
+    A process pool waits for the first completion (or the next watchdog
+    deadline); the in-process executor runs its oldest queued job, so its
+    wait always returns exactly one finished future and a watchdog deadline
+    can never expire while a job is still running.
+    """
+    if isinstance(executor, _InProcessExecutor):
+        return {executor.run_next()}
+    finished, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+    return finished
+
+
 class SweepRunner:
     """Runs every cell of a matrix, optionally across a process pool.
 
-    ``max_workers=1`` (or a single pending cell) executes in-process through
-    exactly the same :func:`execute_cell` path the pool workers use.
+    One event loop runs every sweep.  ``max_workers=1``, a single pending
+    cell and the fallback after the pool-rebuild budget is spent run it on
+    an in-process executor, which executes the same jobs one at a time in
+    this process; otherwise it runs on a process pool.
 
-    Pretrained cells add a phase before cell execution: every distinct
+    Pretrained cells depend on a training job: every distinct
     :class:`TrainingSpec` among the pending cells is resolved through the
     runner's :class:`ArtifactStore` -- loaded when stored, trained exactly
-    once otherwise (across the same process pool the cells use) -- and each
-    cell then evaluates its frozen artifact.  Federated cells resolve the
-    same way through the :class:`FleetStore`: every distinct
-    :class:`FleetSpec` trains once (its per-device jobs fanned out over the
-    pool, its round-0 device training cached in the artifact store) or is
-    served -- complete or as a same-lineage resume point -- from disk.
+    once otherwise (on the same executor the cells use) -- and each cell
+    then evaluates its frozen artifact.  Federated cells resolve the same
+    way through the :class:`FleetStore`: every distinct :class:`FleetSpec`
+    trains once (its device rounds run as executor jobs, its round-0 device
+    training cached in the artifact store) or is served -- complete or as
+    a same-lineage resume point -- from disk.
     ``artifact_dir`` defaults to ``<cache_dir>/artifacts`` so cached sweeps
     also reuse their agents and fleets.
 
@@ -702,9 +762,9 @@ class SweepRunner:
     ``watchdog`` prices per-job wall-clock budgets from the shard cost
     model so hung workers are detected and their cells rescheduled; a
     broken or watchdog-expired pool is rebuilt up to ``max_pool_rebuilds``
-    times before the remaining cells fall back to sequential in-process
-    execution.  The defaults enable all three with conservative settings
-    (two retries, 20x cost-model budgets with a 60 s floor, two rebuilds).
+    times before the remaining cells finish on the in-process executor.
+    The defaults enable all three with conservative settings (two retries,
+    20x cost-model budgets with a 60 s floor, two rebuilds).
     """
 
     def __init__(
@@ -796,15 +856,19 @@ class SweepRunner:
                     # more often than the rebuild budget allows.  Only the
                     # *remaining* cells run here: everything delivered before
                     # the last restart already sits in its slot and the cache.
-                    self._run_sequential(remaining, deliver, retry_states)
+                    self._schedule(
+                        _InProcessExecutor(), 1, remaining, deliver, retry_states
+                    )
                     break
+                pool_workers = min(workers, len(remaining))
                 try:
                     with ProcessPoolExecutor(
-                        max_workers=min(workers, len(remaining)),
-                        initializer=mark_worker_process,
+                        max_workers=pool_workers, initializer=mark_worker_process
                     ) as pool:
                         try:
-                            self._run_pool(pool, remaining, deliver, retry_states)
+                            self._schedule(
+                                pool, pool_workers, remaining, deliver, retry_states
+                            )
                         except (KeyboardInterrupt, _PoolRestart):
                             # Abandon queued and running work so the executor's
                             # __exit__ cannot block on a hung or dead worker.
@@ -856,30 +920,35 @@ class SweepRunner:
         for process in list(processes.values()):
             process.terminate()
 
-    def _run_pool(
+    def _schedule(
         self,
-        pool: ProcessPoolExecutor,
+        executor: Union[ProcessPoolExecutor, _InProcessExecutor],
+        workers: int,
         pending: List[Tuple[int, ScenarioCell]],
         deliver: Callable[[int, CellResult], None],
         retry_states: Dict[str, RetryState],
     ) -> None:
-        """Pool scheduling: training jobs gate only their own dependent cells.
+        """The sweep's one event loop: training jobs gate only their own cells.
 
-        Missing artifacts are submitted *first* (so training starts on the
-        first free workers), artifact-free cells run concurrently with the
-        training phase, already-stored artifacts dispatch their cells
-        immediately, and each freshly trained artifact releases its cells the
-        moment it lands -- no cell ever waits on an unrelated spec.
+        ``executor`` is a process pool of ``workers`` processes or, for
+        sequential runs and the pool-rebuild fallback, an
+        :class:`_InProcessExecutor` (``workers=1``); the loop is the same
+        either way.  Missing artifacts are submitted *first* (so training
+        starts on the first free workers), artifact-free cells run
+        concurrently with the training phase, already-stored artifacts
+        dispatch their cells immediately, and each freshly trained artifact
+        releases its cells the moment it lands -- no cell ever waits on an
+        unrelated spec.
 
         Federated fleets resolve through the same event loop: stored fleets
         load up front (a same-lineage shallower fleet resumes), a missing
         fleet's round-0 device specs join the training queue (deduplicated
         against the cells' own specs and the artifact store), each
-        continuation round fans one job per device across the pool as soon
-        as the previous round's aggregation lands, and a fleet's cells
-        dispatch the moment its artifact is captured.  Unrelated cells keep
-        flowing while fleets train, and a fleet failure fails exactly its
-        own cells.
+        continuation round runs -- one batched job, or one job per device --
+        as soon as the previous round's aggregation lands, and a fleet's
+        cells dispatch the moment its artifact is captured.  Unrelated cells
+        keep flowing while fleets train, and a fleet failure fails exactly
+        its own cells.
 
         Fault tolerance: every submitted job carries its retry attempt
         counter and, when the watchdog can price it, a wall-clock deadline.
@@ -918,7 +987,7 @@ class SweepRunner:
         missing_devices: Dict[str, set] = {}  # fleet fp -> unresolved device fps
         round_futures: Dict[Any, Tuple[str, int, int, Tuple[Any, ...]]] = {}
         round_buffers: Dict[str, List[Optional[Dict[str, Any]]]] = {}
-        batched_round_futures: Dict[Any, Tuple[str, int]] = {}
+        batched_round_futures: Dict[Any, Tuple[str, int, List[Tuple[Any, ...]]]] = {}
         batched_cell_futures: Dict[Any, List[Tuple[int, ScenarioCell]]] = {}
         use_batch_kernel = batch_kernel_available()
 
@@ -945,7 +1014,7 @@ class SweepRunner:
                 keys.add(f"{fleet_fp}:r{round_index}:d{device}")
             keys.update(
                 f"{fleet_fp}:r{round_index}"
-                for fleet_fp, round_index in batched_round_futures.values()
+                for fleet_fp, round_index, _ in batched_round_futures.values()
             )
             return tuple(sorted(keys))
 
@@ -996,7 +1065,7 @@ class SweepRunner:
 
         def submit_training(fingerprint: str, spec: TrainingSpec) -> None:
             attempt = self._attempt_of(fingerprint, retry_states)
-            future = pool.submit(train_artifact, spec, attempt=attempt)
+            future = executor.submit(train_artifact, spec, attempt=attempt)
             training_futures[future] = fingerprint
             pending_futures.add(future)
             # Price the budget from a cell that needs this spec; a fleet
@@ -1021,7 +1090,7 @@ class SweepRunner:
                 # reads the merged agent.
                 artifact = artifact.evaluation_only()
             key = cell.fingerprint()
-            future = pool.submit(
+            future = executor.submit(
                 execute_cell, cell, artifact, attempt=self._attempt_of(key, retry_states)
             )
             cell_futures[future] = (index, cell, artifact)
@@ -1032,10 +1101,23 @@ class SweepRunner:
             fleet_fingerprint: str, round_index: int, device: int, job: Tuple[Any, ...]
         ) -> None:
             key = f"{fleet_fingerprint}:r{round_index}:d{device}"
-            future = pool.submit(
+            future = executor.submit(
                 train_device_round, *job, attempt=self._attempt_of(key, retry_states)
             )
             round_futures[future] = (fleet_fingerprint, round_index, device, tuple(job))
+            pending_futures.add(future)
+            arm(future, self.watchdog.cell_timeout_s, (key,))
+
+        def submit_round_batch(
+            fleet_fingerprint: str, round_index: int, jobs: List[Tuple[Any, ...]]
+        ) -> None:
+            key = f"{fleet_fingerprint}:r{round_index}"
+            future = executor.submit(
+                train_device_rounds_batched,
+                jobs,
+                attempt=self._attempt_of(key, retry_states),
+            )
+            batched_round_futures[future] = (fleet_fingerprint, round_index, jobs)
             pending_futures.add(future)
             arm(future, self.watchdog.cell_timeout_s, (key,))
 
@@ -1046,7 +1128,12 @@ class SweepRunner:
                 fleet_fingerprint, fleet_specs[fleet_fingerprint], details
             )
             for index, cell in fleet_waiting.pop(fleet_fingerprint, ()):
-                deliver(index, CellResult(cell=cell, status="error", error=error))
+                deliver(
+                    index,
+                    CellResult(
+                        cell=cell, status="error", error=error, error_kind=PERMANENT
+                    ),
+                )
 
         def advance_fleet(fleet_fingerprint: str) -> None:
             """Submit the build's next round, or capture and release it."""
@@ -1060,18 +1147,11 @@ class SweepRunner:
                 return
             round_index, jobs = build.round_jobs()
             if use_batch_kernel and len(jobs) > 1:
-                # One pool task steps the whole fleet through the batched
+                # One job steps the whole fleet through the batched
                 # device-population kernel -- bit-identical to the
-                # one-task-per-device fan-out (the federated parity tests
+                # one-job-per-device fan-out (the federated parity tests
                 # pin it), but the round costs one worker instead of N.
-                future = pool.submit(train_device_rounds_batched, jobs)
-                batched_round_futures[future] = (fleet_fingerprint, round_index)
-                pending_futures.add(future)
-                arm(
-                    future,
-                    self.watchdog.cell_timeout_s,
-                    (f"{fleet_fingerprint}:r{round_index}",),
-                )
+                submit_round_batch(fleet_fingerprint, round_index, jobs)
                 return
             round_buffers[fleet_fingerprint] = [None] * len(jobs)
             for device, job in enumerate(jobs):
@@ -1088,19 +1168,19 @@ class SweepRunner:
 
         if use_batch_kernel:
             # Homogeneous artifact-free cells run through the batched
-            # device-population kernel, chunked so the pool still spreads a
+            # device-population kernel, chunked so a pool still spreads a
             # large sweep across its workers; everything else (trained,
             # federated, singleton cells) dispatches per cell below.
-            cell_groups, dispatch = batchable_cell_groups(
-                pending, workers=getattr(pool, "_max_workers", 1)
-            )
+            cell_groups, dispatch = batchable_cell_groups(pending, workers=workers)
             for group in cell_groups:
                 group_cells = [cell for _, cell in group]
                 attempt = max(
                     self._attempt_of(cell.fingerprint(), retry_states)
                     for cell in group_cells
                 )
-                future = pool.submit(execute_cells_batched, group_cells, attempt=attempt)
+                future = executor.submit(
+                    execute_cells_batched, group_cells, attempt=attempt
+                )
                 batched_cell_futures[future] = group
                 pending_futures.add(future)
                 arm(
@@ -1142,9 +1222,7 @@ class SweepRunner:
                     min(deadline for deadline, _ in deadlines.values())
                     - monotonic_now(),
                 )
-            finished, _ = wait(
-                pending_futures, timeout=timeout, return_when=FIRST_COMPLETED
-            )
+            finished = _wait_first(executor, pending_futures, timeout)
             if not finished:
                 # The wait timed out on a watchdog deadline.  Anything past
                 # its budget is presumed hung: tear the pool down (run()
@@ -1172,7 +1250,7 @@ class SweepRunner:
                                 "worker crash", in_flight_keys() + (fingerprint,)
                             )
                         except Exception as exc:
-                            if self._note_exception(fingerprint, exc, retry_states):
+                            if self._note_failure(fingerprint, exc, retry_states):
                                 self._backoff(
                                     fingerprint, retry_states[fingerprint].attempt
                                 )
@@ -1235,25 +1313,28 @@ class SweepRunner:
                                 submit_cell(index, cell)
                             continue
                         for (index, cell), result in zip(group, results):
-                            self._settle_pool_result(
+                            self._settle_result(
                                 index, cell, None, result, deliver, retry_states,
                                 submit_cell,
                             )
                     elif future in batched_round_futures:
-                        fleet_fingerprint, round_index = batched_round_futures.pop(
-                            future
+                        fleet_fingerprint, round_index, jobs = (
+                            batched_round_futures.pop(future)
                         )
                         if fleet_fingerprint in failed_fleets:
                             continue
+                        key = f"{fleet_fingerprint}:r{round_index}"
                         try:
                             states = future.result()
                         except BrokenExecutor:
                             raise _PoolRestart(
-                                "worker crash",
-                                in_flight_keys()
-                                + (f"{fleet_fingerprint}:r{round_index}",),
+                                "worker crash", in_flight_keys() + (key,)
                             )
-                        except Exception:
+                        except Exception as exc:
+                            if self._note_failure(key, exc, retry_states):
+                                self._backoff(key, retry_states[key].attempt)
+                                submit_round_batch(fleet_fingerprint, round_index, jobs)
+                                continue
                             fail_fleet(fleet_fingerprint, traceback.format_exc())
                             continue
                         builds[fleet_fingerprint].finish_round(round_index, states)
@@ -1272,7 +1353,7 @@ class SweepRunner:
                                 "worker crash", in_flight_keys() + (key,)
                             )
                         except Exception as exc:
-                            if self._note_exception(key, exc, retry_states):
+                            if self._note_failure(key, exc, retry_states):
                                 self._backoff(key, retry_states[key].attempt)
                                 submit_round_job(
                                     fleet_fingerprint, round_index, device, job
@@ -1308,7 +1389,7 @@ class SweepRunner:
                                 error_kind=classify_exception(exc),
                                 error_type=type(exc).__name__,
                             )
-                        self._settle_pool_result(
+                        self._settle_result(
                             index, cell, artifact, result, deliver, retry_states,
                             submit_cell,
                         )
@@ -1320,117 +1401,7 @@ class SweepRunner:
                 # total.
                 raise _PoolRestart("worker crash", in_flight_keys())
 
-    def _run_sequential(
-        self,
-        remaining: List[Tuple[int, ScenarioCell]],
-        deliver: Callable[[int, CellResult], None],
-        retry_states: Dict[str, RetryState],
-    ) -> None:
-        """Finish ``remaining`` in-process (sequential runs and pool fallback).
-
-        Transient failures retry in place with seeded backoff, carrying over
-        any attempt counters accumulated during pool restarts (so injected
-        faults that already fired in a doomed pool do not re-fire here).
-        Injected crash faults raise instead of exiting -- the orchestrator
-        process is never marked expendable -- so even a crash-heavy fault
-        plan cannot take a sequential sweep down.
-        """
-        specs, fleet_specs = self._collect_specs(remaining)
-        artifacts, errors = self.artifacts.ensure(specs.values())
-        fleets, fleet_errors = self.fleets.ensure(
-            fleet_specs.values(), artifacts=self.artifacts
-        )
-        if batch_kernel_available():
-            groups, rest = batchable_cell_groups(remaining)
-        else:
-            groups, rest = [], remaining
-        for group in groups:
-            group_cells = [cell for _, cell in group]
-            attempt = max(
-                self._attempt_of(cell.fingerprint(), retry_states)
-                for cell in group_cells
-            )
-            batch_results = execute_cells_batched(group_cells, attempt=attempt)
-            for (index, cell), result in zip(group, batch_results):
-                self._finish_sequential(
-                    index,
-                    cell,
-                    result,
-                    deliver,
-                    retry_states,
-                    rerun=lambda attempt, cell=cell: execute_cell(
-                        cell, attempt=attempt
-                    ),
-                )
-        for index, cell in rest:
-            artifact, error = self._resolve_artifact(
-                cell, artifacts, errors, fleets, fleet_errors
-            )
-            if error is not None:
-                deliver(
-                    index,
-                    CellResult(
-                        cell=cell, status="error", error=error, error_kind=PERMANENT
-                    ),
-                )
-                continue
-            result = execute_cell(
-                cell,
-                artifact=artifact,
-                attempt=self._attempt_of(cell.fingerprint(), retry_states),
-            )
-            self._finish_sequential(
-                index,
-                cell,
-                result,
-                deliver,
-                retry_states,
-                rerun=lambda attempt, cell=cell, artifact=artifact: execute_cell(
-                    cell, artifact=artifact, attempt=attempt
-                ),
-            )
-
-    def _finish_sequential(
-        self,
-        index: int,
-        cell: ScenarioCell,
-        result: CellResult,
-        deliver: Callable[[int, CellResult], None],
-        retry_states: Dict[str, RetryState],
-        rerun: Callable[[int], CellResult],
-    ) -> None:
-        """Deliver one in-process result, retrying transient failures in place."""
-        key = cell.fingerprint()
-        while True:
-            if result.ok:
-                self._attach_lineage(result, retry_states.get(key))
-                self.cache.store(result)
-                deliver(index, result)
-                return
-            if not self._note_failure(key, result, retry_states):
-                self._finalize_error(result, retry_states[key])
-                deliver(index, result)
-                return
-            self._backoff(key, retry_states[key].attempt)
-            result = rerun(retry_states[key].attempt)
-
-    # -- retry bookkeeping (shared by the pool and sequential paths) ------------------
-
-    @staticmethod
-    def _collect_specs(
-        remaining: List[Tuple[int, ScenarioCell]],
-    ) -> Tuple[Dict[str, TrainingSpec], Dict[str, FleetSpec]]:
-        """The distinct training and fleet specs the remaining cells need."""
-        specs: Dict[str, TrainingSpec] = {}
-        fleet_specs: Dict[str, FleetSpec] = {}
-        for _, cell in remaining:
-            spec = cell.training_spec()
-            if spec is not None:
-                specs.setdefault(spec.fingerprint(), spec)
-            fleet = cell.fleet_spec()
-            if fleet is not None:
-                fleet_specs.setdefault(fleet.fingerprint(), fleet)
-        return specs, fleet_specs
+    # -- retry bookkeeping ------------------------------------------------------------
 
     @staticmethod
     def _attempt_of(key: str, retry_states: Dict[str, RetryState]) -> int:
@@ -1445,35 +1416,30 @@ class SweepRunner:
             result.attempts = state.lineage_dicts()
 
     def _note_failure(
-        self, key: str, result: CellResult, retry_states: Dict[str, RetryState]
+        self,
+        key: str,
+        failure: Union[CellResult, BaseException],
+        retry_states: Dict[str, RetryState],
     ) -> bool:
         """Account one failed attempt; ``True`` iff the caller should retry.
 
-        A repeated identical traceback marks the failure deterministic --
-        replaying it again cannot end differently -- and quarantines the
-        cell immediately, regardless of remaining retry budget.
+        ``failure`` is an error :class:`CellResult` (classified where the
+        cell ran) or the exception a job raised, classified here from
+        inside the caller's ``except`` block.  A repeated identical
+        traceback marks the failure deterministic -- replaying it again
+        cannot end differently -- and quarantines the job immediately,
+        regardless of remaining retry budget.
         """
-        kind = result.error_kind or PERMANENT
+        if isinstance(failure, BaseException):
+            kind = classify_exception(failure)
+            error_type = type(failure).__name__
+            error: Optional[str] = traceback.format_exc()
+        else:
+            kind = failure.error_kind or PERMANENT
+            error_type = failure.error_type or ""
+            error = failure.error
         state = retry_states.setdefault(key, RetryState())
-        repeated = state.record_failure(kind, result.error_type or "", result.error)
-        retrying = (
-            not repeated
-            and kind == TRANSIENT
-            # state.attempt now counts failures; retries used is one fewer.
-            and self.retry_policy.should_retry(kind, state.attempt - 1)
-        )
-        self._note_retry_metrics(key, kind, state.attempt, retrying)
-        return retrying
-
-    def _note_exception(
-        self, key: str, exc: BaseException, retry_states: Dict[str, RetryState]
-    ) -> bool:
-        """:meth:`_note_failure` for failures that arrived as raised exceptions."""
-        kind = classify_exception(exc)
-        state = retry_states.setdefault(key, RetryState())
-        repeated = state.record_failure(
-            kind, type(exc).__name__, traceback.format_exc()
-        )
+        repeated = state.record_failure(kind, error_type, error)
         retrying = (
             not repeated
             and kind == TRANSIENT
@@ -1485,7 +1451,7 @@ class SweepRunner:
 
     @staticmethod
     def _note_retry_metrics(key: str, kind: str, attempt: int, retrying: bool) -> None:
-        """Account one failed attempt in the obs layer (both failure paths)."""
+        """Account one failed attempt in the obs layer."""
         metrics().inc(f"retry.{kind}")
         if not retrying:
             metrics().inc("retry.quarantined" if kind != TRANSIENT else "retry.exhausted")
@@ -1505,7 +1471,7 @@ class SweepRunner:
         if delay > 0:
             time.sleep(delay)
 
-    def _settle_pool_result(
+    def _settle_result(
         self,
         index: int,
         cell: ScenarioCell,
@@ -1515,7 +1481,7 @@ class SweepRunner:
         retry_states: Dict[str, RetryState],
         submit_cell: Callable[..., None],
     ) -> None:
-        """Deliver or retry one pool result (shared by cell and batch paths)."""
+        """Deliver or retry one cell result (shared by cell and batch jobs)."""
         key = cell.fingerprint()
         if result.ok:
             self._attach_lineage(result, retry_states.get(key))
@@ -1527,29 +1493,6 @@ class SweepRunner:
         else:
             self._finalize_error(result, retry_states[key])
             deliver(index, result)
-
-    @staticmethod
-    def _resolve_artifact(
-        cell: ScenarioCell,
-        artifacts: Dict[str, "AgentArtifact"],
-        errors: Dict[str, str],
-        fleets: Dict[str, "FleetArtifact"],
-        fleet_errors: Dict[str, str],
-    ) -> Tuple[Optional[CellArtifact], Optional[str]]:
-        """The cell's trained artifact/fleet, or the training error that doomed it."""
-        fleet = cell.fleet_spec()
-        if fleet is not None:
-            fingerprint = fleet.fingerprint()
-            if fingerprint in fleet_errors:
-                return None, _fleet_error(fingerprint, fleet, fleet_errors[fingerprint])
-            return fleets.get(fingerprint), None
-        spec = cell.training_spec()
-        if spec is None:
-            return None, None
-        fingerprint = spec.fingerprint()
-        if fingerprint in errors:
-            return None, _training_error(fingerprint, spec, errors[fingerprint])
-        return artifacts.get(fingerprint), None
 
 
 def run_matrix(

@@ -4,8 +4,10 @@ A sweep today spans processes (pool workers), machines (shards) and
 retries; the only durable record of *where time went* is whatever the CLI
 printed.  This module gives every run an append-only ``trace.jsonl``:
 
-* a :class:`Tracer` opens nested spans (``sweep > cell > train``,
-  ``shard run``, ``round > device_batch``, ``merge``) and appends one
+* a :class:`Tracer` opens nested spans (``sweep > cell``,
+  ``sweep > cell_batch > cell``, ``sweep > train > episode``,
+  ``sweep > device_round``/``device_batch``, ``federated_round`` for a
+  standalone fleet, ``shard_run``, ``merge``) and appends one
   complete, schema-versioned JSON event per span/point event through
   :func:`repro.core.persistence.append_jsonl` (single ``write()`` per
   line, so concurrent writers interleave whole lines, never bytes);

@@ -7,20 +7,23 @@ The pipeline's contract has three layers, each pinned here:
   accounting), so a restored agent evaluates bit-identically,
 * an :class:`AgentArtifact` freezes a trained agent under a content
   fingerprint derived from its :class:`TrainingSpec` plus agent config, and
-* the :class:`ArtifactStore` trains each distinct spec exactly once and
-  serves every later request from the stored artifact.
+* a sweep trains each distinct spec exactly once through the
+  :class:`ArtifactStore` and serves every later request from the stored
+  artifact.
 """
 
 import json
 
 import pytest
 
-import repro.experiments.artifacts as artifacts_module
+import repro.experiments.runner as runner_module
 from repro.core.agent import AgentConfig, NextAgent
 from repro.core.artifact import ARTIFACT_SCHEMA_VERSION, AgentArtifact, TrainingSpec
 from repro.core.governor import NextGovernor
 from repro.core.qlearning import QLearningConfig
 from repro.experiments.artifacts import ArtifactStore, train_artifact
+from repro.experiments.matrix import ScenarioMatrix
+from repro.experiments.runner import SweepRunner
 from repro.sim.experiment import pretrained_next_governor, run_app_session
 from repro.soc.platform import generic_two_cluster_soc
 
@@ -49,6 +52,46 @@ def tiny_spec():
         episode_duration_s=4.0,
         seed=5,
     )
+
+
+def sweep_resolve(runner, specs):
+    """Resolve ``specs`` through ``runner`` the way a sweep does.
+
+    Runs two pretrained ``next`` cells per distinct spec (seeds 0 and 1, so
+    every spec is needed twice) in one sweep and returns
+    ``(artifacts, errors)`` keyed by spec fingerprint: the stored artifact
+    of each spec whose cells succeeded, the error text of each spec whose
+    cells failed.
+    """
+    distinct = {spec.fingerprint(): spec for spec in specs}
+    matrices = [
+        ScenarioMatrix.build(
+            name=f"artifact-store-{index}",
+            governors=("next",),
+            apps=spec.apps,
+            platforms=(spec.platform,),
+            seeds=(0, 1),
+            duration_s=2.0,
+            training={
+                "key": "pretrained",
+                "mode": "pretrained",
+                "episodes": spec.episodes,
+                "episode_duration_s": spec.episode_duration_s,
+                "seed": spec.seed,
+            },
+        )
+        for index, spec in enumerate(distinct.values())
+    ]
+    cells = [cell for matrix in matrices for cell in matrix.cells()]
+    artifacts, errors = {}, {}
+    for result in runner.run(matrices[0], cells=cells).results:
+        spec = result.cell.training_spec()
+        assert spec.fingerprint() in distinct
+        if result.ok:
+            artifacts[spec.fingerprint()] = runner.artifacts.load(spec)
+        else:
+            errors[spec.fingerprint()] = result.error
+    return artifacts, errors
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +275,25 @@ class TestTrainArtifact:
 
 class TestArtifactStore:
     def test_trains_each_spec_exactly_once(self, tiny_spec, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        artifacts, errors = store.ensure([tiny_spec, tiny_spec])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        store = runner.artifacts
+        artifacts, errors = sweep_resolve(runner, [tiny_spec, tiny_spec])
         assert errors == {}
         assert store.trained_count == 1 and store.reused_count == 0
         assert set(artifacts) == {tiny_spec.fingerprint()}
         # A second resolution (same store) reuses the memory copy.
-        _, errors = store.ensure([tiny_spec])
+        _, errors = sweep_resolve(runner, [tiny_spec])
         assert errors == {}
         assert store.trained_count == 1 and store.reused_count == 1
 
     def test_disk_persistence_across_store_instances(self, tiny_spec, tmp_path):
-        first = ArtifactStore(str(tmp_path))
-        first.ensure([tiny_spec])
+        first_runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        first = first_runner.artifacts
+        sweep_resolve(first_runner, [tiny_spec])
         assert first.trained_count == 1
-        second = ArtifactStore(str(tmp_path))
-        artifacts, errors = second.ensure([tiny_spec])
+        second_runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        second = second_runner.artifacts
+        artifacts, errors = sweep_resolve(second_runner, [tiny_spec])
         assert errors == {}
         assert second.trained_count == 0 and second.reused_count == 1
         fingerprint = tiny_spec.fingerprint()
@@ -255,18 +301,20 @@ class TestArtifactStore:
 
     def test_corrupt_artifact_file_is_retrained(self, tiny_spec, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
         path.write_text("{not json")
-        fresh = ArtifactStore(str(tmp_path))
-        fresh.ensure([tiny_spec])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        fresh = runner.artifacts
+        sweep_resolve(runner, [tiny_spec])
         assert fresh.trained_count == 1  # corrupt entry treated as a miss
         assert AgentArtifact.load(str(path)).fingerprint == tiny_spec.fingerprint()
 
     def test_memory_only_store_deduplicates(self, tiny_spec):
-        store = ArtifactStore(None)
-        store.ensure([tiny_spec])
-        store.ensure([tiny_spec])
+        runner = SweepRunner(max_workers=1)
+        store = runner.artifacts
+        sweep_resolve(runner, [tiny_spec])
+        sweep_resolve(runner, [tiny_spec])
         assert store.trained_count == 1 and store.reused_count == 1
 
     def test_training_failure_is_isolated(self, tiny_spec, monkeypatch):
@@ -277,23 +325,24 @@ class TestArtifactStore:
             episode_duration_s=4.0,
         )
 
-        real = artifacts_module.train_artifact
+        real = runner_module.train_artifact
 
-        def crash_on_facebook(spec, agent_config=None):
+        def crash_on_facebook(spec, agent_config=None, attempt=0):
             if "facebook" in spec.apps:
                 raise RuntimeError("boom")
-            return real(spec, agent_config)
+            return real(spec, agent_config, attempt=attempt)
 
-        monkeypatch.setattr(artifacts_module, "train_artifact", crash_on_facebook)
-        store = ArtifactStore(None)
-        artifacts, errors = store.ensure([tiny_spec, bad_spec])
+        monkeypatch.setattr(runner_module, "train_artifact", crash_on_facebook)
+        runner = SweepRunner(max_workers=1)
+        store = runner.artifacts
+        artifacts, errors = sweep_resolve(runner, [tiny_spec, bad_spec])
         assert tiny_spec.fingerprint() in artifacts
         assert "boom" in errors[bad_spec.fingerprint()]
         assert store.trained_count == 1
 
     def test_entries_lists_stored_artifacts(self, tiny_spec, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         listed = ArtifactStore(str(tmp_path)).entries()
         assert [entry.fingerprint for entry in listed] == [tiny_spec.fingerprint()]
 
@@ -311,20 +360,20 @@ class TestArtifactStoreSharedDirectory:
         # Two independent store instances over one directory model two
         # runner processes sharing --artifact-dir sequentially.
         calls = []
-        real = artifacts_module.train_artifact
+        real = runner_module.train_artifact
 
-        def counting(spec, agent_config=None):
+        def counting(spec, agent_config=None, attempt=0):
             calls.append(spec.fingerprint(agent_config))
-            return real(spec, agent_config)
+            return real(spec, agent_config, attempt=attempt)
 
-        first = ArtifactStore(str(tmp_path))
-        second = ArtifactStore(str(tmp_path))
+        first = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        second = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
         try:
-            artifacts_module.train_artifact = counting
-            a, errors_a = first.ensure([tiny_spec])
-            b, errors_b = second.ensure([tiny_spec])
+            runner_module.train_artifact = counting
+            a, errors_a = sweep_resolve(first, [tiny_spec])
+            b, errors_b = sweep_resolve(second, [tiny_spec])
         finally:
-            artifacts_module.train_artifact = real
+            runner_module.train_artifact = real
         assert errors_a == errors_b == {}
         assert calls == [tiny_spec.fingerprint()]  # trained exactly once
         fingerprint = tiny_spec.fingerprint()
@@ -336,11 +385,12 @@ class TestArtifactStoreSharedDirectory:
         # A valid JSON *prefix* (torn non-atomic write) must be a miss, not
         # a crash -- and the sweep retrains and heals the file.
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
         path.write_text(path.read_text()[:200])
-        fresh = ArtifactStore(str(tmp_path))
-        artifacts, errors = fresh.ensure([tiny_spec])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        fresh = runner.artifacts
+        artifacts, errors = sweep_resolve(runner, [tiny_spec])
         assert errors == {}
         assert fresh.trained_count == 1
         assert AgentArtifact.load(str(path)).fingerprint == tiny_spec.fingerprint()
@@ -352,7 +402,7 @@ class TestArtifactStoreSharedDirectory:
         # Crash mid-save: the staging file dies, the published artifact
         # survives byte-for-byte (the write-then-rename guarantee).
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
         published = path.read_text()
 
@@ -404,7 +454,7 @@ class TestArtifactStoreSharedDirectory:
         # A crashed writer's .tmp.<pid> debris must confuse neither load()
         # nor entries().
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         debris = tmp_path / f"{tiny_spec.fingerprint()}.agent.json.tmp.12345"
         debris.write_text("{torn")
         listed = ArtifactStore(str(tmp_path)).entries()
@@ -418,7 +468,7 @@ class TestArtifactStoreSharedDirectory:
         # PID-suffixed names; whichever rename lands last, the published
         # file is one writer's complete document.
         store = ArtifactStore(str(tmp_path))
-        store.ensure([tiny_spec])
+        store.accept(train_artifact(tiny_spec))
         artifact = store.load(tiny_spec)
         path = tmp_path / f"{tiny_spec.fingerprint()}.agent.json"
 

@@ -11,7 +11,9 @@ The fault-tolerance tentpole's contract, pinned end to end:
   cell rescheduled with a bumped attempt counter,
 * a deterministically failing cell is quarantined as permanent after its
   bounded retries -- with its attempt lineage attached -- without aborting
-  any other cell.
+  any other cell,
+* transient faults in agent training and federated device rounds are
+  retried like cell faults, sequentially and pooled alike.
 
 Faults are scheduled by seeded :class:`FaultPlan` rules, so every run of
 this suite replays the identical failure sequence.
@@ -30,8 +32,11 @@ from repro.reliability.faults import (
     KIND_TRANSIENT,
     SITE_EXECUTE_BATCH,
     SITE_EXECUTE_CELL,
+    SITE_TRAIN_ARTIFACT,
+    SITE_TRAIN_DEVICE_ROUND,
     FaultPlan,
     FaultRule,
+    fire_counts,
     injected_faults,
 )
 from repro.reliability.retry import PERMANENT, RetryPolicy
@@ -170,3 +175,67 @@ class TestPermanentQuarantine:
         assert cell_hashes(rerun) == baseline
         recomputed = [r for r in rerun.results if not r.from_cache]
         assert [r.cell.fingerprint() for r in recomputed] == [victim]
+
+
+def _trained_matrix(training) -> ScenarioMatrix:
+    """schedutil and a trained ``next`` on two apps, ~3 s cells."""
+    return ScenarioMatrix.build(
+        name="chaos-trained",
+        governors=("schedutil", "next"),
+        apps=("facebook", "spotify"),
+        seeds=(0,),
+        duration_s=3.0,
+        training=training,
+    )
+
+
+class TestTrainingFaults:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transient_training_fault_is_retried(self, workers):
+        # Every spec's first training attempt fails transiently; both
+        # pretrained cells must still come back ok with clean-run hashes.
+        matrix = _trained_matrix(
+            {
+                "key": "pretrained", "mode": "pretrained", "episodes": 1,
+                "episode_duration_s": 3.0,
+            }
+        )
+        clean = cell_hashes(SweepRunner(max_workers=1).run(matrix))
+        plan = FaultPlan(
+            seed=4, rules=(FaultRule(site=SITE_TRAIN_ARTIFACT, kind=KIND_TRANSIENT),)
+        )
+        with injected_faults(plan):
+            sweep = SweepRunner(
+                max_workers=workers, retry_policy=RetryPolicy(max_retries=2)
+            ).run(matrix)
+        assert all(result.ok for result in sweep.results)
+        assert cell_hashes(sweep) == clean
+
+    def test_transient_device_round_fault_is_retried_on_the_batch_route(self):
+        # With NumPy a fleet's continuation rounds run as one batched job;
+        # the device-round seam must still fire there, and the scheduler
+        # must retry the whole round.
+        pytest.importorskip("numpy")
+        matrix = _trained_matrix(
+            (
+                {"key": "cold", "mode": "cold"},
+                {
+                    "key": "federated", "mode": "federated", "episodes": 1,
+                    "episode_duration_s": 3.0, "devices": 2, "rounds": 2,
+                    "seed": 3,
+                },
+            )
+        )
+        clean = cell_hashes(SweepRunner(max_workers=1).run(matrix))
+        plan = FaultPlan(
+            seed=5,
+            rules=(FaultRule(site=SITE_TRAIN_DEVICE_ROUND, kind=KIND_TRANSIENT),),
+        )
+        with injected_faults(plan):
+            sweep = SweepRunner(
+                max_workers=1, retry_policy=RetryPolicy(max_retries=2)
+            ).run(matrix)
+            fired = fire_counts()
+        assert all(result.ok for result in sweep.results)
+        assert cell_hashes(sweep) == clean
+        assert any(site == SITE_TRAIN_DEVICE_ROUND for site, _ in fired)

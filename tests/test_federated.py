@@ -6,10 +6,10 @@ Four contract layers, each pinned here:
   the pooled visit mass, so multi-round aggregation weights fleet
   experience instead of resetting every state to a fresh-write count,
 * :func:`train_fleet_artifact` is a pure function of its
-  :class:`FleetSpec`: sequential == pooled == resumed, bit for bit,
+  :class:`FleetSpec`: from scratch == resumed, bit for bit,
 * :class:`FleetArtifact` round-trips through JSON to an identical greedy
-  policy and the :class:`FleetStore` trains each spec once (resuming
-  same-lineage shallower fleets instead of retraining), and
+  policy and a sweep trains each spec once through the :class:`FleetStore`
+  (resuming same-lineage shallower fleets instead of retraining), and
 * the scenario-matrix integration: federated cells evaluate the merged
   agent deterministically next to cold/pretrained cells, with the same
   pool == sequential == cache parity the other variants guarantee.
@@ -17,7 +17,6 @@ Four contract layers, each pinned here:
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -84,6 +83,48 @@ def _federated_matrix(**variant_overrides) -> ScenarioMatrix:
         duration_s=4.0,
         training=({"key": "cold", "mode": "cold"}, variant),
     )
+
+
+def sweep_fleets(runner, specs):
+    """Resolve fleet ``specs`` through ``runner`` the way a sweep does.
+
+    Runs two federated ``next`` cells per distinct spec (seeds 0 and 1, so
+    every fleet is needed twice) in one sweep and returns
+    ``(fleets, errors)`` keyed by fleet fingerprint: the stored fleet of
+    each spec whose cells succeeded, the error text of each spec whose
+    cells failed.
+    """
+    distinct = {spec.fingerprint(): spec for spec in specs}
+    matrices = [
+        ScenarioMatrix.build(
+            name=f"fleet-store-{index}",
+            governors=("next",),
+            apps=spec.apps,
+            platforms=(spec.platform,),
+            seeds=(0, 1),
+            duration_s=2.0,
+            training={
+                "key": "federated",
+                "mode": "federated",
+                "episodes": spec.episodes,
+                "episode_duration_s": spec.episode_duration_s,
+                "seed": spec.fleet_seed,
+                "devices": spec.devices,
+                "rounds": spec.rounds,
+            },
+        )
+        for index, spec in enumerate(distinct.values())
+    ]
+    cells = [cell for matrix in matrices for cell in matrix.cells()]
+    fleets, errors = {}, {}
+    for result in runner.run(matrices[0], cells=cells).results:
+        spec = result.cell.fleet_spec()
+        assert spec.fingerprint() in distinct
+        if result.ok:
+            fleets[spec.fingerprint()] = runner.fleets.load(spec)
+        else:
+            errors[spec.fingerprint()] = result.error
+    return fleets, errors
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +255,6 @@ class TestFleetTraining:
         again = train_fleet_artifact(tiny_fleet_spec())
         assert again.to_dict() == fleet_artifact.to_dict()
 
-    def test_pool_matches_sequential(self, fleet_artifact):
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = train_fleet_artifact(tiny_fleet_spec(), pool=pool)
-        assert pooled.to_dict() == fleet_artifact.to_dict()
-
     def test_resume_matches_from_scratch(self, fleet_artifact):
         shallow = train_fleet_artifact(tiny_fleet_spec(rounds=1))
         resumed = train_fleet_artifact(tiny_fleet_spec(rounds=2), start=shallow)
@@ -305,22 +341,25 @@ class TestFleetArtifact:
 class TestFleetStore:
     def test_trains_once_then_reuses_across_instances(self, tmp_path):
         spec = tiny_fleet_spec()
-        store = FleetStore(str(tmp_path))
-        fleets, errors = store.ensure([spec, spec])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        store = runner.fleets
+        fleets, errors = sweep_fleets(runner, [spec, spec])
         assert errors == {}
         assert store.trained_count == 1 and store.reused_count == 0
-        second = FleetStore(str(tmp_path))
-        fleets_again, errors = second.ensure([spec])
+        second_runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        second = second_runner.fleets
+        fleets_again, errors = sweep_fleets(second_runner, [spec])
         assert errors == {}
         assert second.trained_count == 0 and second.reused_count == 1
         fingerprint = spec.fingerprint()
         assert fleets_again[fingerprint].to_dict() == fleets[fingerprint].to_dict()
 
     def test_deeper_spec_resumes_the_stored_lineage(self, tmp_path):
-        store = FleetStore(str(tmp_path))
-        store.ensure([tiny_fleet_spec(rounds=1)])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        store = runner.fleets
+        sweep_fleets(runner, [tiny_fleet_spec(rounds=1)])
         deeper = tiny_fleet_spec(rounds=2)
-        fleets, errors = store.ensure([deeper])
+        fleets, errors = sweep_fleets(runner, [deeper])
         assert errors == {}
         assert store.resumed_count == 1
         assert (
@@ -331,9 +370,9 @@ class TestFleetStore:
     def test_corrupt_resume_candidate_falls_back_to_the_next_deepest(
         self, tmp_path
     ):
-        store = FleetStore(str(tmp_path))
-        store.ensure([tiny_fleet_spec(rounds=1)])
-        store.ensure([tiny_fleet_spec(rounds=2)])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        sweep_fleets(runner, [tiny_fleet_spec(rounds=1)])
+        sweep_fleets(runner, [tiny_fleet_spec(rounds=2)])
         # Corrupt the deepest candidate; resumption must fall back to the
         # 1-round artifact instead of crashing or retraining from scratch.
         deep_path = tmp_path / f"{tiny_fleet_spec(rounds=2).fingerprint()}.fleet.json"
@@ -346,24 +385,25 @@ class TestFleetStore:
     def test_truncated_fleet_file_is_retrained(self, tmp_path):
         spec = tiny_fleet_spec()
         store = FleetStore(str(tmp_path))
-        store.ensure([spec])
+        store.accept(train_fleet_artifact(spec))
         path = tmp_path / f"{spec.fingerprint()}.fleet.json"
         path.write_text(path.read_text()[:100])  # simulate a torn write
-        fresh = FleetStore(str(tmp_path))
-        fleets, errors = fresh.ensure([spec])
+        runner = SweepRunner(max_workers=1, artifact_dir=str(tmp_path))
+        fresh = runner.fleets
+        fleets, errors = sweep_fleets(runner, [spec])
         assert errors == {}
         assert fresh.trained_count == 1  # corrupt entry treated as a miss
         assert FleetArtifact.load(str(path)).fingerprint == spec.fingerprint()
 
     def test_training_failure_is_isolated(self, monkeypatch):
-        import repro.experiments.federated as federated_module
+        import repro.experiments.runner as runner_module
 
-        def crash(spec, agent_config=None):
+        def crash(spec, agent_config=None, attempt=0):
             raise RuntimeError("device boom")
 
-        monkeypatch.setattr(federated_module, "train_artifact", crash)
-        store = FleetStore(None)
-        fleets, errors = store.ensure([tiny_fleet_spec()])
+        monkeypatch.setattr(runner_module, "train_artifact", crash)
+        runner = SweepRunner(max_workers=1)
+        fleets, errors = sweep_fleets(runner, [tiny_fleet_spec()])
         assert fleets == {}
         assert "device boom" in errors[tiny_fleet_spec().fingerprint()]
 
@@ -476,12 +516,12 @@ class TestFederatedCells:
         assert sweep.result_for(cell).summary == inline.summary
 
     def test_fleet_training_failure_fails_only_federated_cells(self, monkeypatch):
-        import repro.experiments.federated as federated_module
+        import repro.experiments.runner as runner_module
 
-        def crash(spec, agent_config=None):
+        def crash(spec, agent_config=None, attempt=0):
             raise RuntimeError("fleet boom")
 
-        monkeypatch.setattr(federated_module, "train_artifact", crash)
+        monkeypatch.setattr(runner_module, "train_artifact", crash)
         sweep = run_matrix(_federated_matrix(), max_workers=1)
         federated = [r for r in sweep.results if r.cell.federated]
         others = [r for r in sweep.results if not r.cell.federated]
@@ -555,7 +595,7 @@ class TestFederatedCli:
         from repro.experiments.cli import main
 
         store = FleetStore(str(tmp_path))
-        store.ensure([tiny_fleet_spec()])
+        store.accept(train_fleet_artifact(tiny_fleet_spec()))
         assert main(["--list-artifacts", "--artifact-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"fleet apps={APP}" in out

@@ -273,22 +273,57 @@ class TestTracedSweeps:
         A worker that inherited the orchestrator's counters would flush
         them again as its first per-task delta, inflating the merged
         ``cache.miss`` by the parent's count once per worker footer.
+
+        The trace's shape does not depend on the worker count either: one
+        scheduler runs both sweeps, so a matrix with baseline, pretrained
+        and federated cells emits the same span names, ``cell`` spans and
+        merged kernel counters.  (``cell_batch`` counts may differ: a pool
+        chunks a batch group across its workers.)
         """
-        matrix = small_matrix()
-        merged = {}
-        for workers in (1, 2):
-            reset_metrics()
-            path = str(tmp_path / f"workers-{workers}" / TRACE_BASENAME)
-            with traced(path):
-                sweep = SweepRunner(
-                    max_workers=workers,
-                    cache_dir=str(tmp_path / f"cache-{workers}"),
-                ).run(matrix)
-            assert not sweep.failures
-            events, _ = read_trace(path)
-            merged[workers] = report_payload(events)["metrics"]["counters"]
-        assert merged[1]["cache.miss"] == len(matrix.cells())
-        assert merged[2]["cache.miss"] == merged[1]["cache.miss"]
+        mixed = ScenarioMatrix.build(
+            name="obs-mixed",
+            governors=("schedutil", "next"),
+            apps=("home",),
+            platforms=("generic-two-cluster",),
+            seeds=(0,),
+            duration_s=2.0,
+            training=(
+                {"key": "cold", "mode": "cold"},
+                {
+                    "key": "pretrained", "mode": "pretrained", "episodes": 1,
+                    "episode_duration_s": 2.0,
+                },
+                {
+                    "key": "federated", "mode": "federated", "episodes": 1,
+                    "episode_duration_s": 2.0, "devices": 2, "rounds": 2,
+                },
+            ),
+        )
+        for matrix in (small_matrix(), mixed):
+            merged, span_names, cell_spans = {}, {}, {}
+            for workers in (1, 2):
+                reset_metrics()
+                path = str(
+                    tmp_path / matrix.name / f"workers-{workers}" / TRACE_BASENAME
+                )
+                with traced(path):
+                    sweep = SweepRunner(
+                        max_workers=workers,
+                        cache_dir=str(tmp_path / matrix.name / f"cache-{workers}"),
+                    ).run(matrix)
+                assert not sweep.failures
+                events, _ = read_trace(path)
+                merged[workers] = report_payload(events)["metrics"]["counters"]
+                spans = [event for event in events if event.get("kind") == "span"]
+                span_names[workers] = {span["name"] for span in spans}
+                cell_spans[workers] = sum(span["name"] == "cell" for span in spans)
+            assert merged[1]["cache.miss"] == len(matrix.cells())
+            assert merged[2]["cache.miss"] == merged[1]["cache.miss"]
+            assert span_names[2] == span_names[1]
+            assert cell_spans[1] == cell_spans[2] == len(matrix.cells())
+            assert merged[2].get("batch.device_ticks") == merged[1].get(
+                "batch.device_ticks"
+            )
 
     def test_tracing_does_not_perturb_results(self, tmp_path):
         matrix = small_matrix()
