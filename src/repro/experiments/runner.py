@@ -330,6 +330,14 @@ def execute_cells_batched(
     :func:`execute_cell` path (pinned by the batch parity suite), so cached
     results from either route are interchangeable.
 
+    Cells that replay the same session (same workload segments and
+    governor-independent ``trace_seed``) share one recorded
+    :class:`~repro.workloads.trace.WorkloadTrace`, each lane through its own
+    :class:`~repro.workloads.trace.TracePlayer`: the trace is recorded once
+    per group, not once per cell.  After the kernel, lanes are finished one
+    at a time -- materialised, summarised and hashed inside their own
+    ``cell`` span -- so only one lane's :class:`Recorder` is alive at once.
+
     Failure isolation matches the scalar path's granularity: any batch-level
     failure (including one diverging cell) falls back to running every cell
     of the group through :func:`execute_cell` individually, so a single bad
@@ -352,17 +360,21 @@ def execute_cells_batched(
         from repro.workloads.trace import TracePlayer
 
         platform = make_platform(cells[0].platform)
+        recorded: Dict[Tuple[Any, int], Any] = {}
         traces = []
         governors = []
         configs = []
         for cell in cells:
-            segments = [
-                SessionSegment(app_name, duration_s)
-                for app_name, duration_s in cell.workload.segments
-            ]
-            traces.append(
-                record_session_trace(segments, platform=platform, seed=cell.trace_seed)
-            )
+            key = (cell.workload.segments, cell.trace_seed)
+            if key not in recorded:
+                segments = [
+                    SessionSegment(app_name, duration_s)
+                    for app_name, duration_s in cell.workload.segments
+                ]
+                recorded[key] = record_session_trace(
+                    segments, platform=platform, seed=cell.trace_seed
+                )
+            traces.append(recorded[key])
             params = dict(cell.governor_params)
             if cell.governor in STOCHASTIC_GOVERNORS:
                 params.setdefault("seed", cell.governor_seed)
@@ -381,38 +393,14 @@ def execute_cells_batched(
             duration_s=[trace.duration_s for trace in traces],
         )
         elapsed_s = (time.perf_counter() - started) / len(cells)
-        results = []
-        for index, cell in enumerate(cells):
-            recorder = batch.device_recorder(index)
-            session = SessionResult(
-                governor_name=governors[index].name,
-                app_names=list(traces[index].app_names()),
-                recorder=recorder,
-                summary=recorder.summary(),
+        results = [
+            _finish_lane(
+                batch, index, cell, governors[index].name, traces[index], elapsed_s
             )
-            results.append(
-                CellResult(
-                    cell=cell,
-                    status="ok",
-                    summary=summary_to_dict(session),
-                    elapsed_s=elapsed_s,
-                )
-            )
-        if tracer is not None:
+            for index, cell in enumerate(cells)
+        ]
+        if span is not None:
             span.note("status", "ok")
-            for cell in cells:
-                # One child span per lane so the report's tree shows every
-                # cell; the batch ran them jointly, so each carries the
-                # amortised share of the batch's wall time as an attribute.
-                child = tracer.begin(
-                    "cell",
-                    fingerprint=cell.fingerprint(),
-                    label=cell.label(),
-                    batched=True,
-                )
-                child.note("amortised_s", elapsed_s)
-                child.note("status", "ok")
-                tracer.end(child)
         return results
     except Exception:  # repro-lint: disable=REP008 -- each cell re-runs scalar and records its own traceback
         if span is not None:
@@ -428,6 +416,48 @@ def execute_cells_batched(
         if tracer is not None:
             tracer.end(span)
             flush_task_metrics()
+
+
+def _finish_lane(
+    batch: Any,
+    index: int,
+    cell: ScenarioCell,
+    governor_name: str,
+    trace: Any,
+    elapsed_s: float,
+) -> CellResult:
+    """One lane of a finished batch as its cell's result.
+
+    The lane's :class:`Recorder` lives only for this call.  When tracing,
+    the lane's ``cell`` span times its own materialisation, summary and
+    hash; the kernel ran every lane jointly, so the span also carries the
+    amortised share of the batch's wall time as ``amortised_s``.
+    """
+    tracer = active_tracer()
+    child = (
+        tracer.begin(
+            "cell", fingerprint=cell.fingerprint(), label=cell.label(), batched=True
+        )
+        if tracer is not None
+        else None
+    )
+    status = "error"
+    try:
+        recorder = batch.device_recorder(index)
+        session = SessionResult(
+            governor_name=governor_name,
+            app_names=list(trace.app_names()),
+            recorder=recorder,
+            summary=recorder.summary(),
+        )
+        summary = summary_to_dict(session)
+        status = "ok"
+    finally:
+        if child is not None:
+            child.note("amortised_s", elapsed_s)
+            child.note("status", status)
+            tracer.end(child)
+    return CellResult(cell=cell, status="ok", summary=summary, elapsed_s=elapsed_s)
 
 
 def batchable_cell_groups(

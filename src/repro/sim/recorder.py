@@ -14,13 +14,19 @@ tuples instead of building five dict copies and a dataclass per tick
 reconstructed lazily on access -- ``recorder.samples``, :meth:`resample` and
 the analysis APIs are unchanged and the reconstructed samples compare equal
 (bit-identically) to what the previous object-per-tick recorder stored.
+
+:func:`sample_stream_hash` is the *definition* of a recorded stream's hash
+(the golden suite pins it); :meth:`Recorder.content_hash` is a columnar
+encoder that feeds SHA-256 exactly the same bytes straight from the columns,
+without building a sample, a dict or a sorted tuple per row.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ppdw import compute_ppdw
 
@@ -79,6 +85,9 @@ def sample_stream_hash(samples: Iterable[SimulationSample]) -> str:
     ``repr`` (shortest round-trip), so the hash is exact: two sample streams
     hash equal iff they are bit-identical, independent of dict key order.
     The golden-trace regression suite pins recorded streams with this.
+
+    This is the definition of the hash; :meth:`Recorder.content_hash`
+    computes the same digest from a recorder's columns.
     """
     h = hashlib.sha256()
     for s in samples:
@@ -114,6 +123,22 @@ _MAPPING_FIELDS = (
     "max_limits_mhz",
     "utilisations",
 )
+
+#: Rows joined per SHA-256 ``update`` in :meth:`Recorder.content_hash` (bounds
+#: the text held at once on long recordings).
+_HASH_CHUNK_ROWS = 4096
+
+
+def _mapping_template(sorted_keys: Sequence[str]) -> str:
+    """``%`` template of ``repr(tuple(sorted(mapping.items())))``, keys baked in.
+
+    One ``%r`` per value, in ``sorted_keys`` order; preceded by the ``", "``
+    that separates it from the previous field of the row tuple.
+    """
+    pairs = ["(%s, %%r)" % repr(key).replace("%", "%%") for key in sorted_keys]
+    if len(pairs) == 1:
+        return ", (%s,)" % pairs[0]
+    return ", (%s)" % ", ".join(pairs)
 
 
 class Recorder:
@@ -273,8 +298,62 @@ class Recorder:
         )
 
     def content_hash(self) -> str:
-        """Canonical hash of the recorded stream (see :func:`sample_stream_hash`)."""
-        return sample_stream_hash(self.samples)
+        """Canonical hash of the recorded stream, encoded from the columns.
+
+        Equal to ``sample_stream_hash(self.samples)`` -- the same UTF-8 bytes
+        go into SHA-256 -- but each mapping field's key layout is sorted once
+        rather than once per row, and every row is formatted by one template
+        whose ``%r`` slots take the columns in that sorted order.  A recorder
+        whose rows do not all share one key layout per mapping field (only
+        the object-based :meth:`record` path makes one) is hashed through the
+        definition instead.
+        """
+        digest = hashlib.sha256()
+        if not self._time:
+            return digest.hexdigest()
+        columns: List[Sequence] = [
+            self._time,
+            self._app,
+            self._phase,
+            self._fps,
+            self._target_fps,
+            self._demanded,
+            self._displayed,
+            self._dropped,
+            self._power_total,
+        ]
+        template = ["(" + ", ".join(["%r"] * len(columns))]
+        for name in _MAPPING_FIELDS:
+            layout = self._uniform_layout(name)
+            if layout is None:
+                return sample_stream_hash(self.samples)
+            order = sorted(range(len(layout)), key=layout.__getitem__)
+            value_columns = list(zip(*self._map_vals[name]))
+            columns.extend(value_columns[j] for j in order)
+            template.append(_mapping_template([layout[j] for j in order]))
+        columns.append(self._interaction)
+        template.append(", %r)")
+        rows = map("".join(template).__mod__, zip(*columns))
+        while True:
+            text = "".join(islice(rows, _HASH_CHUNK_ROWS))
+            if not text:
+                return digest.hexdigest()
+            digest.update(text.encode("utf-8"))
+
+    def _uniform_layout(self, name: str) -> Optional[Tuple[str, ...]]:
+        """The key layout every row of mapping field ``name`` shares, if any.
+
+        ``None`` when rows differ in layout, when the layout repeats a key
+        (its sample dict would collapse them) or when a value tuple is not
+        aligned with it.
+        """
+        keys = self._map_keys[name]
+        layout = keys[0]
+        if keys.count(layout) != len(keys) or len(set(layout)) != len(layout):
+            return None
+        if set(map(len, self._map_vals[name])) != {len(layout)}:
+            return None
+        return layout
 
     # -- column access ------------------------------------------------------------
 
@@ -348,25 +427,21 @@ class Recorder:
         node_names: List[str] = sorted(
             {node for keys in set(self._map_keys["temperatures_c"]) for node in keys}
         )
-        peak_temps = {
-            node: max(self._mapping_series("temperatures_c", node, ambient))
+        temp_series = {
+            node: self._mapping_series("temperatures_c", node, ambient)
             for node in node_names
         }
+        peak_temps = {node: max(series) for node, series in temp_series.items()}
         avg_temps = {
-            node: sum(self._mapping_series("temperatures_c", node, ambient)) / count
-            for node in node_names
+            node: sum(series) / count for node, series in temp_series.items()
         }
 
-        hot_temps = self._mapping_series("temperatures_c", self.hot_node, ambient)
-        ppdw_values = [
-            compute_ppdw(
-                fps=fps_values[i],
-                power_w=powers[i],
-                temperature_c=hot_temps[i],
-                ambient_c=ambient,
-            )
-            for i in range(count)
-        ]
+        hot_temps = temp_series.get(self.hot_node)
+        if hot_temps is None:
+            hot_temps = self._mapping_series("temperatures_c", self.hot_node, ambient)
+        ppdw_values = list(
+            map(compute_ppdw, fps_values, powers, hot_temps, repeat(ambient))
+        )
 
         return SummaryStatistics(
             duration_s=duration,
@@ -401,6 +476,29 @@ class Recorder:
                 result.append(build(i))
                 next_time += period_s
         return result
+
+
+#: :class:`BatchRecorder` columns held as per-tick Python lists, named as in
+#: :class:`Recorder`.
+_LANE_LISTS = (
+    "_app",
+    "_phase",
+    "_target_fps",
+    "_demanded",
+    "_displayed",
+    "_dropped",
+    "_interaction",
+)
+#: ``(devices,)`` NumPy rows per tick, named as in :class:`Recorder`.
+_LANE_ARRAYS = ("_fps", "_power_total")
+#: ``(keys, devices)`` NumPy rows per tick -> the :class:`Recorder` mapping field.
+_LANE_MAPPINGS = (
+    ("_power_rows", "power_per_cluster_w"),
+    ("_temp_rows", "temperatures_c"),
+    ("_freq_rows", "frequencies_mhz"),
+    ("_max_limit_rows", "max_limits_mhz"),
+    ("_util_rows", "utilisations"),
+)
 
 
 class BatchRecorder:
@@ -450,6 +548,10 @@ class BatchRecorder:
         # otherwise a tuple of the device indices whose lane was both active
         # and due under its own recording cadence (heterogeneous batches).
         self._row_mask: List[Optional[Tuple[int, ...]]] = []
+        # Stacked columns and per-lane rows (see _stacked), valid while the
+        # recorder holds _stack_len rows.
+        self._stack: Tuple[Dict[str, Any], List[Optional[List[int]]]] = ({}, [])
+        self._stack_len = -1
 
     def __len__(self) -> int:
         return len(self._time)
@@ -503,58 +605,69 @@ class BatchRecorder:
         Rows whose ``device_mask`` excludes ``device`` (the lane had
         finished, or its recording cadence was not due) are skipped, so the
         materialised stream is exactly what a scalar run of that device
-        records.
+        records.  Each column is stacked once per recorder length (see
+        :meth:`_stacked`), so extracting every lane in turn costs one stack
+        per column, not one per lane.
         """
-        import numpy as np
-
         recorder = Recorder(ambient_c=self.ambient_c, hot_node=self.hot_node)
         recorder.register_layout(self._cluster_keys, self._node_keys)
-        row_mask = self._row_mask
-        rows_for_device = [
-            i
-            for i in range(len(self._time))
-            if row_mask[i] is None or device in row_mask[i]
-        ]
-        count = len(rows_for_device)
-
-        def gather(column_rows):
-            return [column_rows[i][device] for i in rows_for_device]
-
-        recorder._time = [self._time[i] for i in rows_for_device]
-        recorder._app = gather(self._app)
-        recorder._phase = gather(self._phase)
-        recorder._target_fps = gather(self._target_fps)
-        recorder._demanded = gather(self._demanded)
-        recorder._displayed = gather(self._displayed)
-        recorder._dropped = gather(self._dropped)
-        recorder._interaction = gather(self._interaction)
-        if count:
-            recorder._fps = np.stack(
-                [self._fps[i] for i in rows_for_device]
-            )[:, device].tolist()
-            recorder._power_total = np.stack(
-                [self._power_total[i] for i in rows_for_device]
-            )[:, device].tolist()
-        cluster_keys = recorder._cluster_keys
-        node_keys = recorder._node_keys
-        map_keys = recorder._map_keys
-        map_vals = recorder._map_vals
-
-        def column(rows, keys, field):
-            map_keys[field] = [keys] * count
-            if count:
-                sliced = np.stack(
-                    [rows[i] for i in rows_for_device]
-                )[:, :, device].tolist()
-                map_vals[field] = [tuple(row) for row in sliced]
-
-        column(self._power_rows, cluster_keys, "power_per_cluster_w")
-        column(self._temp_rows, node_keys, "temperatures_c")
-        column(self._freq_rows, cluster_keys, "frequencies_mhz")
-        column(self._max_limit_rows, cluster_keys, "max_limits_mhz")
-        column(self._util_rows, cluster_keys, "utilisations")
+        if not self._time:
+            return recorder
+        stacked, lane_rows = self._stacked()
+        rows = lane_rows[device]
+        if rows is None:
+            picked = slice(None)
+            recorder._time = list(self._time)
+        else:
+            picked = rows
+            recorder._time = [self._time[i] for i in rows]
+        for attr in _LANE_LISTS:
+            lane = stacked[attr][device]
+            lane = list(lane) if rows is None else [lane[i] for i in rows]
+            setattr(recorder, attr, lane)
+        for attr in _LANE_ARRAYS:
+            setattr(recorder, attr, stacked[attr][picked, device].tolist())
+        count = len(recorder._time)
+        for attr, field in _LANE_MAPPINGS:
+            keys = (
+                recorder._node_keys
+                if field == "temperatures_c"
+                else recorder._cluster_keys
+            )
+            recorder._map_keys[field] = [keys] * count
+            recorder._map_vals[field] = list(
+                map(tuple, stacked[attr][picked, :, device].tolist())
+            )
         return recorder
 
-    def device_recorders(self) -> List[Recorder]:
-        """Materialise every device column (device order)."""
-        return [self.device_recorder(d) for d in range(self.n_devices)]
+    def _stacked(self) -> Tuple[Dict[str, Any], List[Optional[List[int]]]]:
+        """Every column stacked over the recorded rows, and each lane's rows.
+
+        Keyed by column attribute: the Python columns become one tuple per
+        device, the float columns one ``(rows, devices)`` or ``(rows, keys,
+        devices)`` array each.  ``lane_rows[d]`` lists the rows device ``d``
+        recorded, or is ``None`` when it recorded every row.  Cached until
+        more ticks are appended: a fleet scheduler reads lanes between two
+        ``run`` calls of one batch.
+        """
+        if self._stack_len == len(self._time):
+            return self._stack
+        import numpy as np
+
+        stacked: Dict[str, Any] = {
+            attr: list(zip(*getattr(self, attr))) for attr in _LANE_LISTS
+        }
+        for attr in _LANE_ARRAYS + tuple(attr for attr, _ in _LANE_MAPPINGS):
+            stacked[attr] = np.stack(getattr(self, attr))
+        n_devices = self.n_devices
+        lane_rows: List[Optional[List[int]]] = [None] * n_devices
+        row_mask = self._row_mask
+        if row_mask.count(None) != len(row_mask):
+            lane_rows = [[] for _ in range(n_devices)]
+            every_lane = range(n_devices)
+            for row, mask in enumerate(row_mask):
+                for device in every_lane if mask is None else mask:
+                    lane_rows[device].append(row)
+        self._stack = (stacked, lane_rows)
+        self._stack_len = len(self._time)
+        return self._stack

@@ -165,6 +165,42 @@ class TestMidRunAggregation:
                     f"lane {device} diverged (cadences {cadences})"
                 )
 
+    def test_lanes_read_between_runs_see_the_resumed_rows(self):
+        """Reading lanes mid-run must not leave a stale stacked-row cache."""
+        platform = make_platform("exynos9810")
+        cadences = (1, 2, 3)
+        configs = [
+            SimulationConfig(
+                refresh_hz=platform.display_refresh_hz,
+                duration_s=4.0,
+                seed=device,
+                record_every_n_ticks=cadence,
+            )
+            for device, cadence in enumerate(cadences)
+        ]
+        batch = BatchSimulation(
+            platform, [make_governor("schedutil") for _ in cadences], configs
+        )
+        workloads = [
+            SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+            for device in range(len(cadences))
+        ]
+        simulations = [
+            Simulation(platform, make_governor("schedutil"), config)
+            for config in configs
+        ]
+        scalar_workloads = [
+            SessionWorkload(FIGURE1_SESSION.segments, seed=device)
+            for device in range(len(cadences))
+        ]
+        for half in range(2):
+            batch.run(workloads, duration_s=2.0)
+            for device, simulation in enumerate(simulations):
+                simulation.run(scalar_workloads[device], duration_s=2.0)
+                assert batch.device_recorder(device).content_hash() == (
+                    sample_stream_hash(simulation.recorder.samples)
+                ), f"lane {device} diverged after run {half + 1}"
+
 
 class TestProfiledBatch:
     """The opt-in hot-loop profiler sees every stage of the batch loop."""

@@ -524,6 +524,34 @@ class TestHeterogeneousBatchedSweep:
         scalar = [execute_cell(cell) for cell in cells]
         assert [r.summary for r in batched] == [r.summary for r in scalar]
 
+    def test_cells_replaying_one_session_share_its_trace(self, monkeypatch):
+        pytest.importorskip("numpy")
+        import repro.experiments.runner as runner_module
+
+        matrix = ScenarioMatrix.build(
+            name="shared-traces",
+            governors=("schedutil", "powersave", "performance", "conservative"),
+            apps=("facebook", "spotify"),
+            seeds=(0,),
+            duration_s=2.0,
+        )
+        cells = matrix.cells()
+        recordings = []
+        real = runner_module.record_session_trace
+
+        def counting(*args, **kwargs):
+            recordings.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "record_session_trace", counting)
+        batched = runner_module.execute_cells_batched(cells)
+        # One trace per (app, trace seed); governors do not change the trace.
+        assert len(recordings) == 2
+        monkeypatch.setattr(runner_module, "record_session_trace", real)
+        scalar = [execute_cell(cell) for cell in cells]
+        assert all(result.ok for result in batched)
+        assert [r.summary for r in batched] == [r.summary for r in scalar]
+
     def test_pool_sequential_and_scalar_routes_agree(self, monkeypatch):
         pytest.importorskip("numpy")
         import repro.experiments.runner as runner_module

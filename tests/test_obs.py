@@ -325,6 +325,39 @@ class TestTracedSweeps:
                 "batch.device_ticks"
             )
 
+    def test_batched_cell_spans_time_their_own_lane(self, tmp_path, monkeypatch):
+        pytest.importorskip("numpy")
+        import time
+
+        import repro.experiments.runner as runner_module
+
+        # Each lane's summary takes at least this long, so a span that does
+        # not enclose its lane's finalisation shows up as too short.
+        pause_s = 0.005
+        real = runner_module.summary_to_dict
+
+        def slow_summary(session):
+            time.sleep(pause_s)
+            return real(session)
+
+        monkeypatch.setattr(runner_module, "summary_to_dict", slow_summary)
+        matrix = small_matrix()
+        path = str(tmp_path / TRACE_BASENAME)
+        with traced(path):
+            sweep = SweepRunner(max_workers=1).run(matrix)
+        assert not sweep.failures
+        events, _ = read_trace(path)
+        (batch,) = span_events(events, "cell_batch")
+        cells = span_events(events, "cell")
+        assert len(cells) == len(matrix.cells())
+        for cell in cells:
+            assert cell["attrs"]["batched"] is True
+            assert cell["attrs"]["amortised_s"] > 0
+            assert cell["parent"] == batch["span"]
+            # Each lane's span times its own summary and hash.
+            assert cell["end_s"] - cell["start_s"] >= pause_s
+            assert batch["start_s"] <= cell["start_s"] <= cell["end_s"] <= batch["end_s"]
+
     def test_tracing_does_not_perturb_results(self, tmp_path):
         matrix = small_matrix()
         bare = cell_hashes(SweepRunner(max_workers=1).run(matrix))
