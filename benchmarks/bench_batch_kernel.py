@@ -24,6 +24,14 @@ measured batched device-ticks/s regressed more than ``--max-regression``
 (2x by default) versus the committed baseline -- generous on purpose so
 shared CI runners do not flake the build.
 
+The report's ``crossover`` section is informational and gates nothing: at
+small widths it times the two routes the sweep runner chooses between --
+a group of baseline cells (``execute_cells_batched`` vs ``execute_cell``
+per cell) and a federated round (``train_device_rounds_batched`` vs
+``train_device_round`` per device) -- interleaved in one process, and
+reports each width's batch/scalar wall ratio.  Where that ratio crosses
+1.0 is what ``repro.experiments.federated.BATCH_MIN_LANES`` is set from.
+
 Requires NumPy (the batch kernel is NumPy-backed); the CI bench-smoke job
 installs it, the plain test job does not.
 """
@@ -56,6 +64,13 @@ DEVICE_COUNTS = {"full": (256, 512), "fast": (256,)}
 #: Simulated seconds of the Fig. 1 session replayed per profile (full = the
 #: whole 210 s session, matching the committed baseline's methodology).
 FIG1_DURATION_S = {"full": None, "fast": 12.0}
+
+#: Group widths of the batch-vs-scalar crossover section.
+CROSSOVER_LANES = (2, 4, 8, 16, 32)
+
+#: Session length of a crossover cell and episode length of a crossover
+#: device round, per profile (6 s matches the sweep benchmark's app cells).
+CROSSOVER_SESSION_S = {"full": 6.0, "fast": 2.0}
 
 
 def _best_of(repeat, fn):
@@ -122,6 +137,79 @@ def measure(profile: str = "full", repeat: int = 3) -> dict:
     return results
 
 
+def measure_crossover(profile: str = "full", repeat: int = 3) -> dict:
+    """Batch/scalar wall ratios of small cell groups and fleet rounds.
+
+    Each width runs both routes ``repeat`` times, alternating which goes
+    first so drift in the host's speed hits both alike; each side keeps its
+    best time.  A ratio below 1.0 means the batch kernel is faster.
+    """
+    from repro.core.agent import AgentConfig, NextAgent
+    from repro.experiments.federated import (
+        train_device_round,
+        train_device_rounds_batched,
+    )
+    from repro.experiments.matrix import ScenarioMatrix
+    from repro.experiments.runner import execute_cell, execute_cells_batched
+
+    session_s = CROSSOVER_SESSION_S[profile]
+
+    def cells_of(n):
+        governors = ("schedutil", "powersave", "performance", "conservative")
+        matrix = ScenarioMatrix.build(
+            name="crossover",
+            governors=governors,
+            apps=("facebook", "spotify"),
+            seeds=tuple(range(-(-n // 8))),
+            duration_s=session_s,
+        )
+        return matrix.cells()[:n]
+
+    def jobs_of(n):
+        return [
+            (
+                json.loads(json.dumps(NextAgent(AgentConfig(), seed=device).to_dict())),
+                ("facebook",),
+                "exynos9810",
+                1,
+                session_s,
+                1000 + device,
+                (),
+            )
+            for device in range(n)
+        ]
+
+    def interleaved(batch_fn, scalar_fn):
+        best = {"batch": None, "scalar": None}
+        for rep in range(repeat):
+            order = (("batch", batch_fn), ("scalar", scalar_fn))
+            for side, fn in order if rep % 2 == 0 else order[::-1]:
+                started = time.perf_counter()
+                fn()
+                elapsed = time.perf_counter() - started
+                if best[side] is None or elapsed < best[side]:
+                    best[side] = elapsed
+        return {
+            "batch_s": round(best["batch"], 4),
+            "scalar_s": round(best["scalar"], 4),
+            "batch_over_scalar": round(best["batch"] / best["scalar"], 3),
+        }
+
+    results = {"session_s": session_s, "cells": {}, "fleet_round": {}}
+    for n in CROSSOVER_LANES:
+        cells = cells_of(n)
+        results["cells"][str(n)] = interleaved(
+            lambda: execute_cells_batched(cells),
+            lambda: [execute_cell(cell) for cell in cells],
+        )
+        jobs = jobs_of(n)
+        results["fleet_round"][str(n)] = interleaved(
+            lambda: train_device_rounds_batched(jobs),
+            lambda: [train_device_round(*job) for job in jobs],
+        )
+    return results
+
+
 def build_report(profile: str, repeat: int) -> dict:
     """Measure and assemble the full BENCH_batch_kernel payload."""
     results = measure(profile=profile, repeat=repeat)
@@ -137,6 +225,8 @@ def build_report(profile: str, repeat: int) -> dict:
             "scalar_us_per_tick": results["scalar_us_per_tick"],
         },
         "after": results,
+        # Informational: check_regression never reads it.
+        "crossover": measure_crossover(profile=profile, repeat=repeat),
     }
 
 

@@ -16,9 +16,9 @@ and is reused by the state discretiser.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 
 def quantise_fps(fps: float, levels: int, max_fps: float = 60.0) -> int:
@@ -93,11 +93,20 @@ class FrameWindowConfig:
 
 
 class FrameWindowMonitor:
-    """Collects frame-rate samples and produces the target FPS (window mode)."""
+    """Collects frame-rate samples and produces the target FPS (window mode).
+
+    The mode is read every simulation tick but changes only when a sample
+    arrives, so the monitor keeps per-level counts of its window up to date
+    as samples enter and leave, and caches the mode until the next sample.
+    """
 
     def __init__(self, config: Optional[FrameWindowConfig] = None) -> None:
         self.config = config or FrameWindowConfig()
         self._samples: Deque[int] = deque(maxlen=self.config.samples_per_window)
+        #: Level -> occurrences in ``_samples``; levels with none are absent.
+        self._counts: Dict[int, int] = {}
+        #: The mode of ``_samples``, or ``None`` until it is next computed.
+        self._mode: Optional[int] = None
         self._last_sample_time_s: Optional[float] = None
         self._raw_last_fps: float = 0.0
 
@@ -124,8 +133,23 @@ class FrameWindowMonitor:
             return False
         self._last_sample_time_s = time_s
         level = quantise_fps(fps, self.config.quantisation_levels, self.config.max_fps)
+        if len(self._samples) == self._samples.maxlen:
+            evicted = self._samples[0]  # dropped by the append below
+            if self._counts[evicted] == 1:
+                del self._counts[evicted]
+            else:
+                self._counts[evicted] -= 1
         self._samples.append(level)
+        self._counts[level] = self._counts.get(level, 0) + 1
+        self._mode = None
         return True
+
+    def _recount(self) -> None:
+        """Rebuild the counts from the window's samples."""
+        self._counts = {}
+        for level in self._samples:
+            self._counts[level] = self._counts.get(level, 0) + 1
+        self._mode = None
 
     # -- results ----------------------------------------------------------------
 
@@ -150,12 +174,13 @@ class FrameWindowMonitor:
         Ties are broken towards the *higher* level so that the agent never
         under-serves the user when two frame-rate plateaus are equally common.
         """
-        if not self._samples:
-            return 0
-        counts = Counter(self._samples)
-        best_count = max(counts.values())
-        candidates = [level for level, count in counts.items() if count == best_count]
-        return max(candidates)
+        if self._mode is None:
+            # (count, level) orders by count first, then by the higher level.
+            self._mode = max(
+                ((count, level) for level, count in self._counts.items()),
+                default=(0, 0),
+            )[1]
+        return self._mode
 
     def target_fps(self) -> float:
         """The target FPS: the de-quantised mode of the frame window."""
@@ -165,12 +190,12 @@ class FrameWindowMonitor:
 
     def histogram(self) -> Tuple[Tuple[int, int], ...]:
         """(level, count) pairs of the current window, sorted by level."""
-        counts = Counter(self._samples)
-        return tuple(sorted(counts.items()))
+        return tuple(sorted(self._counts.items()))
 
     def reset(self) -> None:
         """Drop all samples (used when the foreground application changes)."""
         self._samples.clear()
+        self._recount()
         self._last_sample_time_s = None
         self._raw_last_fps = 0.0
 
@@ -188,6 +213,7 @@ class FrameWindowMonitor:
         """Restore the monitor from :meth:`state_dict` output."""
         self._samples.clear()
         self._samples.extend(int(level) for level in data.get("samples", ()))
+        self._recount()
         last = data.get("last_sample_time_s")
         self._last_sample_time_s = None if last is None else float(last)
         self._raw_last_fps = float(data.get("raw_last_fps", 0.0))

@@ -115,7 +115,10 @@ def batch_kernel_available() -> bool:
 
     The batch kernel is a pure throughput optimisation (bit-identical
     results, pinned by the batch parity suite), so callers fall back to the
-    scalar per-device path when NumPy is absent rather than failing.
+    scalar per-device path when NumPy is absent rather than failing.  The
+    sweep path first imports NumPy here, and :func:`use_batch_kernel` asks
+    only for groups wide enough to batch: a run whose every group stays
+    below :data:`BATCH_MIN_LANES` never loads it.
     """
     try:
         import numpy  # noqa: F401
@@ -124,17 +127,64 @@ def batch_kernel_available() -> bool:
     return True
 
 
+#: Effective lanes (see :func:`effective_lanes`) a group needs before the
+#: batch kernel beats running its lanes one scalar simulation at a time.
+#: The kernel pays a fixed cost per tick -- about 0.6 ms at two lanes,
+#: mostly small-array NumPy calls -- that only width amortises.  On a
+#: 2-core Xeon (Python 3.11, NumPy 2.4) batch/scalar wall ratios were
+#: 2.2-2.7 at 4 lanes, 1.4-1.6 at 8, 0.9-1.1 at 16 and 0.6-0.9 at 24-32,
+#: for baseline cells and fleet device rounds alike.  The ``crossover``
+#: section of ``benchmarks/bench_batch_kernel.py`` measures those ratios.
+BATCH_MIN_LANES = 16
+
+
+def effective_lanes(lane_ticks: Sequence[float]) -> float:
+    """How many lanes a group keeps live, on average, in the batch kernel.
+
+    ``sum(lane_ticks) / max(lane_ticks)``: a uniform group of N lanes
+    counts N, and a lane that retires early (a shorter session in a masked
+    group) counts by the share of the run it stays live.  Budgets may be in
+    ticks or in seconds of one platform -- only their ratios matter.
+    """
+    return sum(lane_ticks) / max(lane_ticks)
+
+
+def use_batch_kernel(lane_ticks: Sequence[float]) -> bool:
+    """The route of one group of lanes: batch kernel (True) or scalar.
+
+    True only when the group is at least :data:`BATCH_MIN_LANES` effective
+    lanes wide *and* NumPy imports; a narrower group returns False without
+    importing NumPy.  Both routes are bit-identical, so this decides speed
+    only.  Every batching call site routes through here: the runner's cell
+    groups (:func:`~repro.experiments.runner.batchable_cell_groups`), its
+    fleet rounds, and :func:`train_fleet_artifact`.
+    """
+    return effective_lanes(lane_ticks) >= BATCH_MIN_LANES and batch_kernel_available()
+
+
+def round_lane_seconds(jobs: Sequence[Tuple[Any, ...]]) -> List[float]:
+    """Per-device training budget of one round's jobs, for :func:`use_batch_kernel`.
+
+    A device trains ``episodes`` episodes of ``episode_duration_s`` on each
+    of its apps (convergence may stop it earlier), in seconds.
+    """
+    return [len(job[1]) * job[3] * job[4] for job in jobs]
+
+
 def train_device_rounds_batched(
     jobs: Sequence[Tuple[Any, ...]],
     attempt: int = 0,
 ) -> List[Dict[str, Any]]:
     """One federated round's device jobs as a single batched step loop.
 
-    Drop-in replacement for ``[train_device_round(*job) for job in jobs]``:
-    instead of N independent simulations (one pool task per device), the
-    whole fleet steps in lockstep through one
+    Returns exactly ``[train_device_round(*job) for job in jobs]``: instead
+    of N independent simulations (one pool task per device), the whole
+    fleet steps in lockstep through one
     :class:`~repro.sim.batch.BatchSimulation` per training episode, which
-    amortises the per-tick Python frontend across the device axis.
+    amortises the per-tick Python frontend across the device axis.  That
+    pays off only for wide fleets, so callers take this route when
+    :func:`use_batch_kernel` says so for :func:`round_lane_seconds` of the
+    jobs, and run the jobs one by one otherwise.
 
     Bit-identity with the scalar path is structural: each device's episode
     seeds are derived with the same strides
@@ -516,11 +566,13 @@ def train_fleet_artifact(
     """Train one federated fleet per ``spec`` and freeze it into an artifact.
 
     The in-process, one-call form of :class:`FleetBuild` (the sweep runner
-    schedules the same steps as executor jobs instead).  Multi-device
-    rounds run through the batched device-population kernel when NumPy is
-    available (one lockstep step loop for the whole fleet instead of N
-    sequential simulations) -- bit-identical to the per-device route, so
-    the two cannot diverge.  Each round runs under a ``federated_round``
+    schedules the same steps as executor jobs instead).  A round runs
+    through the batched device-population kernel (one lockstep step loop
+    for the whole fleet instead of N sequential simulations) when
+    :func:`use_batch_kernel` routes it there -- the fleet is at least
+    :data:`BATCH_MIN_LANES` effective devices wide and NumPy imports -- and
+    device by device otherwise; the two routes are bit-identical, so they
+    cannot diverge.  Each round runs under a ``federated_round``
     span.  ``start`` resumes a same-lineage artifact with fewer rounds:
     only the missing rounds run, and the outcome equals a from-scratch run
     of the full depth.
@@ -534,7 +586,7 @@ def train_fleet_artifact(
         with maybe_span(
             "federated_round", round=round_index, devices=len(jobs)
         ):
-            if len(jobs) > 1 and batch_kernel_available():
+            if use_batch_kernel(round_lane_seconds(jobs)):
                 results = train_device_rounds_batched(jobs)
             else:
                 results = [train_device_round(*job) for job in jobs]

@@ -55,14 +55,17 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
 from repro.core.persistence import atomic_write_json, list_entry_paths
+from repro.experiments import federated
 from repro.experiments.artifacts import ArtifactStore, train_artifact
 from repro.experiments.federated import (
     FleetBuild,
     FleetStore,
-    batch_kernel_available,
+    effective_lanes,
+    round_lane_seconds,
     train_device_round,
     train_device_rounds_batched,
     train_fleet_artifact,
+    use_batch_kernel,
 )
 from repro.experiments.matrix import ScenarioCell, ScenarioMatrix
 from repro.obs.metrics import metrics
@@ -471,10 +474,19 @@ def batchable_cell_groups(
     :class:`~repro.sim.batch.BatchSimulation`.  Session durations and
     ``record_every_n_ticks`` overrides may differ within a group: the
     kernel's one lane-schedule loop retires each lane on its own budget and
-    cadence.  Each group
-    is split into up to ``workers`` chunks of at least two cells so a
-    process pool still spreads a large homogeneous sweep across its
-    workers; singleton leftovers run scalar.
+    cadence.
+
+    A group batches only where the batch kernel is faster than the scalar
+    route, which :func:`~repro.experiments.federated.use_batch_kernel`
+    decides from its cells' session lengths: at least
+    :data:`~repro.experiments.federated.BATCH_MIN_LANES` effective lanes,
+    and NumPy importable.  A bucket splits into up to ``workers`` chunks so
+    a process pool still spreads a large sweep across its workers, but
+    never into a chunk below that crossover: it gets ``min(workers,
+    effective_lanes // BATCH_MIN_LANES)`` chunks, fewer when an uneven
+    split would leave one short, and a bucket too narrow for even one
+    chunk runs scalar whole.  NumPy is imported only once a chunk clears
+    the crossover.
 
     Returns ``(groups, rest)`` preserving the original ``(index, cell)``
     pairs; ``rest`` keeps its input order.
@@ -494,19 +506,28 @@ def batchable_cell_groups(
         buckets.setdefault(key, []).append((index, cell))
     groups: List[List[Tuple[int, ScenarioCell]]] = []
     for bucket in buckets.values():
-        if len(bucket) < 2:
+        # Read through the module: the crossover is one constant, which
+        # use_batch_kernel reads the same way.
+        widest = int(
+            effective_lanes(_lane_seconds(bucket)) // federated.BATCH_MIN_LANES
+        )
+        for chunk_count in range(min(workers, widest), 0, -1):
+            size = -(-len(bucket) // chunk_count)  # ceil division
+            chunks = [
+                bucket[start : start + size] for start in range(0, len(bucket), size)
+            ]
+            if all(use_batch_kernel(_lane_seconds(chunk)) for chunk in chunks):
+                groups.extend(chunks)
+                break
+        else:
             rest.extend(bucket)
-            continue
-        chunk_count = max(1, min(workers, len(bucket) // 2))
-        size = -(-len(bucket) // chunk_count)  # ceil division
-        for start in range(0, len(bucket), size):
-            chunk = bucket[start : start + size]
-            if len(chunk) >= 2:
-                groups.append(chunk)
-            else:
-                rest.extend(chunk)
     rest.sort(key=lambda pair: pair[0])
     return groups, rest
+
+
+def _lane_seconds(group: List[Tuple[int, ScenarioCell]]) -> List[float]:
+    """Per-lane session lengths of a cell group: its lanes' tick budgets in seconds."""
+    return [cell.workload.duration_s for _, cell in group]
 
 
 def _training_error(fingerprint: str, spec: TrainingSpec, details: str) -> str:
@@ -970,6 +991,14 @@ class SweepRunner:
         releases its cells the moment it lands -- no cell ever waits on an
         unrelated spec.
 
+        Routing: artifact-free cells batch in groups that
+        :func:`batchable_cell_groups` found wide enough to beat the scalar
+        route, and a fleet round runs as one batched job only when
+        :func:`~repro.experiments.federated.use_batch_kernel` says its
+        devices are; everything narrower runs one job per cell or device.
+        NumPy availability is asked only for a group or round that clears
+        the crossover, so a sweep with none never imports NumPy.
+
         Federated fleets resolve through the same event loop: stored fleets
         load up front (a same-lineage shallower fleet resumes), a missing
         fleet's round-0 device specs join the training queue (deduplicated
@@ -1019,7 +1048,6 @@ class SweepRunner:
         round_buffers: Dict[str, List[Optional[Dict[str, Any]]]] = {}
         batched_round_futures: Dict[Any, Tuple[str, int, List[Tuple[Any, ...]]]] = {}
         batched_cell_futures: Dict[Any, List[Tuple[int, ScenarioCell]]] = {}
-        use_batch_kernel = batch_kernel_available()
 
         def arm(future: Any, budget_s: Optional[float], keys: Tuple[str, ...]) -> None:
             """Give a future a watchdog deadline, when one can be priced."""
@@ -1176,7 +1204,7 @@ class SweepRunner:
                     submit_cell(index, cell, artifact)
                 return
             round_index, jobs = build.round_jobs()
-            if use_batch_kernel and len(jobs) > 1:
+            if use_batch_kernel(round_lane_seconds(jobs)):
                 # One job steps the whole fleet through the batched
                 # device-population kernel -- bit-identical to the
                 # one-job-per-device fan-out (the federated parity tests
@@ -1196,30 +1224,27 @@ class SweepRunner:
                 build.provide_round0(device_artifacts)
                 advance_fleet(fleet_fingerprint)
 
-        if use_batch_kernel:
-            # Homogeneous artifact-free cells run through the batched
-            # device-population kernel, chunked so a pool still spreads a
-            # large sweep across its workers; everything else (trained,
-            # federated, singleton cells) dispatches per cell below.
-            cell_groups, dispatch = batchable_cell_groups(pending, workers=workers)
-            for group in cell_groups:
-                group_cells = [cell for _, cell in group]
-                attempt = max(
-                    self._attempt_of(cell.fingerprint(), retry_states)
-                    for cell in group_cells
-                )
-                future = executor.submit(
-                    execute_cells_batched, group_cells, attempt=attempt
-                )
-                batched_cell_futures[future] = group
-                pending_futures.add(future)
-                arm(
-                    future,
-                    self.watchdog.batch_budget_s(group_cells),
-                    tuple(cell.fingerprint() for cell in group_cells),
-                )
-        else:
-            dispatch = pending
+        # Artifact-free cell groups wide enough to beat the scalar route run
+        # through the batched device-population kernel, chunked so a pool
+        # still spreads a large sweep across its workers; everything else
+        # (trained, federated, narrow groups) dispatches per cell below.
+        cell_groups, dispatch = batchable_cell_groups(pending, workers=workers)
+        for group in cell_groups:
+            group_cells = [cell for _, cell in group]
+            attempt = max(
+                self._attempt_of(cell.fingerprint(), retry_states)
+                for cell in group_cells
+            )
+            future = executor.submit(
+                execute_cells_batched, group_cells, attempt=attempt
+            )
+            batched_cell_futures[future] = group
+            pending_futures.add(future)
+            arm(
+                future,
+                self.watchdog.batch_budget_s(group_cells),
+                tuple(cell.fingerprint() for cell in group_cells),
+            )
 
         for index, cell in dispatch:
             fleet = cell.fleet_spec()

@@ -54,6 +54,7 @@ def baseline(matrix):
     return cell_hashes(SweepRunner(max_workers=1).run(matrix))
 
 
+@pytest.mark.usefixtures("batch_route_from_two_lanes")
 class TestChaosParity:
     def test_sequential_sweep_is_bit_identical_under_fault_mix(
         self, matrix, baseline
@@ -109,6 +110,7 @@ class TestChaosParity:
         assert cell_hashes(sweep) == baseline
 
 
+@pytest.mark.usefixtures("batch_route_from_two_lanes")
 class TestPermanentQuarantine:
     def test_deterministic_failure_is_permanent_and_isolated(self, matrix):
         # One cell fails on every attempt; the rest of the sweep must
@@ -211,7 +213,9 @@ class TestTrainingFaults:
         assert all(result.ok for result in sweep.results)
         assert cell_hashes(sweep) == clean
 
-    def test_transient_device_round_fault_is_retried_on_the_batch_route(self):
+    def test_transient_device_round_fault_is_retried_on_the_batch_route(
+        self, batch_route_from_two_lanes
+    ):
         # With NumPy a fleet's continuation rounds run as one batched job;
         # the device-round seam must still fire there, and the scheduler
         # must retry the whole round.

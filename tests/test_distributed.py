@@ -798,7 +798,9 @@ class TestShardLiveness:
         assert 0.0 <= status.heartbeat_age_s < 3600.0
         assert status.attempts == 0 and not status.stale
 
-    def test_retries_surface_in_the_status_attempt_counter(self, tmp_path):
+    def test_retries_surface_in_the_status_attempt_counter(
+        self, tmp_path, batch_route_from_two_lanes
+    ):
         # Every cell's first attempt fails transiently (the batch rule
         # forces the scalar path so the per-cell rule reaches each cell);
         # the shard still completes and the retries it spent are visible to

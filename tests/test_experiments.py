@@ -492,7 +492,9 @@ class TestHeterogeneousBatchedSweep:
             game_duration_s=5.0,
         )
 
-    def test_mixed_duration_cells_group_into_one_masked_batch(self):
+    def test_mixed_duration_cells_group_into_one_masked_batch(
+        self, batch_route_from_two_lanes
+    ):
         pytest.importorskip("numpy")
         from repro.experiments.runner import batchable_cell_groups
 
@@ -504,7 +506,9 @@ class TestHeterogeneousBatchedSweep:
         durations = {cell.workload.duration_s for _, cell in groups[0]}
         assert durations == {3.0, 5.0}
 
-    def test_mixed_cadence_cells_group_and_match_scalar(self):
+    def test_mixed_cadence_cells_group_and_match_scalar(
+        self, batch_route_from_two_lanes
+    ):
         pytest.importorskip("numpy")
         from dataclasses import replace
 
@@ -552,14 +556,16 @@ class TestHeterogeneousBatchedSweep:
         assert all(result.ok for result in batched)
         assert [r.summary for r in batched] == [r.summary for r in scalar]
 
-    def test_pool_sequential_and_scalar_routes_agree(self, monkeypatch):
+    def test_pool_sequential_and_scalar_routes_agree(
+        self, monkeypatch, batch_route_from_two_lanes
+    ):
         pytest.importorskip("numpy")
-        import repro.experiments.runner as runner_module
+        import repro.experiments.federated as federated_module
 
         matrix = self._mixed_duration_matrix()
         sequential = run_matrix(matrix, max_workers=1)
         pooled = run_matrix(matrix, max_workers=2)
-        monkeypatch.setattr(runner_module, "batch_kernel_available", lambda: False)
+        monkeypatch.setattr(federated_module, "batch_kernel_available", lambda: False)
         scalar = run_matrix(matrix, max_workers=1)
         summaries = [
             [result.summary for result in sweep.results]
@@ -568,7 +574,9 @@ class TestHeterogeneousBatchedSweep:
         assert all(sweep.failures == [] for sweep in (sequential, pooled, scalar))
         assert summaries[0] == summaries[1] == summaries[2]
 
-    def test_scalar_fallback_with_numpy_absent(self, monkeypatch):
+    def test_scalar_fallback_with_numpy_absent(
+        self, monkeypatch, batch_route_from_two_lanes
+    ):
         # Simulate a NumPy-less interpreter: ``sys.modules[name] = None``
         # makes ``import numpy`` raise ImportError, so the runner must take
         # the scalar route end to end -- with identical results.
@@ -585,6 +593,151 @@ class TestHeterogeneousBatchedSweep:
         assert [result.summary for result in without_kernel.results] == [
             result.summary for result in with_kernel.results
         ]
+
+
+class TestBatchRouting:
+    """Groups route to the batch kernel only from the measured crossover.
+
+    Below :data:`~repro.experiments.federated.BATCH_MIN_LANES` effective
+    lanes the scalar route is faster, so small cell groups and small fleet
+    rounds run scalar -- and a sweep that batches nothing never imports
+    NumPy.  Both routes are bit-identical; these tests pin which one runs.
+    """
+
+    @staticmethod
+    def _span_names(tmp_path, matrix):
+        from repro.obs.trace import read_trace, traced
+
+        path = str(tmp_path / "trace.jsonl")
+        with traced(path):
+            sweep = SweepRunner(max_workers=1).run(matrix)
+        assert sweep.failures == []
+        events, _ = read_trace(path)
+        return [event["name"] for event in events if event.get("kind") == "span"]
+
+    @staticmethod
+    def _fleet_matrix():
+        """Two artifact-free cells and a 2-device, 2-round federated fleet."""
+        return ScenarioMatrix.build(
+            name="route-small",
+            governors=("schedutil", "next"),
+            apps=("facebook",),
+            seeds=(0,),
+            duration_s=2.0,
+            training=(
+                {"key": "cold", "mode": "cold"},
+                {
+                    "key": "federated", "mode": "federated", "episodes": 1,
+                    "episode_duration_s": 2.0, "devices": 2, "rounds": 2,
+                    "seed": 0,
+                },
+            ),
+        )
+
+    def test_groups_and_fleets_below_the_crossover_run_scalar(self, tmp_path):
+        names = self._span_names(tmp_path, self._fleet_matrix())
+        assert "cell" in names and "device_round" in names
+        assert "cell_batch" not in names and "device_batch" not in names
+
+    def test_group_at_the_crossover_batches(self, tmp_path):
+        pytest.importorskip("numpy")
+        from repro.experiments.federated import (
+            BATCH_MIN_LANES,
+            round_lane_seconds,
+            use_batch_kernel,
+        )
+
+        matrix = ScenarioMatrix.build(
+            name="route-wide",
+            governors=("schedutil", "powersave", "performance", "conservative"),
+            apps=("facebook", "spotify"),
+            seeds=tuple(range(BATCH_MIN_LANES // 8)),
+            duration_s=1.0,
+        )
+        assert len(matrix) == BATCH_MIN_LANES
+        names = self._span_names(tmp_path, matrix)
+        assert names.count("cell_batch") == 1
+        # A fleet round of as many devices batches too.
+        job = ({}, ("facebook",), "exynos9810", 2, 2.0, 0, ())
+        wide = [job] * BATCH_MIN_LANES
+        assert use_batch_kernel(round_lane_seconds(wide))
+        assert not use_batch_kernel(round_lane_seconds(wide[1:]))
+
+    def test_pool_chunks_never_fall_below_the_crossover(self):
+        pytest.importorskip("numpy")
+        from repro.experiments.federated import BATCH_MIN_LANES
+        from repro.experiments.runner import batchable_cell_groups
+
+        matrix = ScenarioMatrix.build(
+            name="route-chunks",
+            governors=("schedutil", "powersave", "performance", "conservative"),
+            apps=("facebook",),
+            seeds=tuple(range(BATCH_MIN_LANES // 2)),
+            duration_s=1.0,
+        )
+        cells = matrix.cells()[: 2 * BATCH_MIN_LANES - 1]
+        groups, rest = batchable_cell_groups(list(enumerate(cells)), workers=2)
+        assert rest == []
+        assert [len(group) for group in groups] == [len(cells)]
+        groups, _ = batchable_cell_groups(
+            list(enumerate(matrix.cells()[: 2 * BATCH_MIN_LANES])), workers=2
+        )
+        assert [len(group) for group in groups] == [BATCH_MIN_LANES] * 2
+
+    def test_short_lanes_count_fractionally(self):
+        from repro.experiments.federated import BATCH_MIN_LANES, effective_lanes
+        from repro.experiments.runner import batchable_cell_groups
+
+        assert effective_lanes([6.0, 6.0, 8.0, 8.0]) == 3.5
+        assert effective_lanes([360, 360, 480]) == 2.5
+        # Enough cells to batch by count, but half of them retire a quarter
+        # of the way through: 10 effective lanes, below the crossover.
+        matrix = ScenarioMatrix.build(
+            name="route-masked",
+            governors=("schedutil", "powersave", "performance", "conservative"),
+            apps=("facebook", "lineage"),
+            seeds=tuple(range(BATCH_MIN_LANES // 8)),
+            duration_s=2.0,
+            game_duration_s=8.0,
+        )
+        cells = matrix.cells()
+        assert len(cells) == BATCH_MIN_LANES
+        assert effective_lanes([cell.workload.duration_s for cell in cells]) < (
+            BATCH_MIN_LANES
+        )
+        groups, rest = batchable_cell_groups(list(enumerate(cells)))
+        assert groups == [] and len(rest) == len(cells)
+
+    def test_scalar_sweep_never_imports_numpy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(self._fleet_matrix().to_dict()))
+        code = (
+            "import sys\n"
+            "from repro.experiments.cli import main\n"
+            f"code = main(['--spec', {str(spec)!r}, '--max-workers', '1', "
+            f"'--cache-dir', {str(tmp_path / 'cache')!r}, '--quiet'])\n"
+            "assert code == 0, code\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=str(tmp_path),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestResultCacheQuarantine:

@@ -267,7 +267,9 @@ class TestTracedSweeps:
         # Deactivation restored the environment for the next run.
         assert not tracing_active()
 
-    def test_cache_misses_do_not_depend_on_worker_count(self, tmp_path):
+    def test_cache_misses_do_not_depend_on_worker_count(
+        self, tmp_path, batch_route_from_two_lanes
+    ):
         """Forked pool workers start from an empty metrics registry.
 
         A worker that inherited the orchestrator's counters would flush
@@ -325,7 +327,9 @@ class TestTracedSweeps:
                 "batch.device_ticks"
             )
 
-    def test_batched_cell_spans_time_their_own_lane(self, tmp_path, monkeypatch):
+    def test_batched_cell_spans_time_their_own_lane(
+        self, tmp_path, monkeypatch, batch_route_from_two_lanes
+    ):
         pytest.importorskip("numpy")
         import time
 

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the library's core invariants."""
 
 import random
+from collections import Counter, deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +209,46 @@ def test_frame_window_mode_is_a_representable_level(samples, levels):
     # the window.
     levels_in_window = {level for level, _ in monitor.histogram()}
     assert quantise_fps(target, levels, config.max_fps) in levels_in_window
+
+
+frame_window_ops = st.lists(
+    st.one_of(
+        # Few levels and a short window: ties and evictions are common.
+        st.tuples(st.just("observe"), st.sampled_from([0.0, 15.0, 30.0, 45.0, 60.0])),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("load"), st.lists(st.integers(0, 4), max_size=12)),
+    ),
+    max_size=60,
+)
+
+
+@given(frame_window_ops)
+def test_frame_window_counts_match_the_counter_definition(ops):
+    """The incremental counts equal a Counter over the window after any op."""
+    config = FrameWindowConfig(window_s=0.2, sample_period_s=0.025, quantisation_levels=4)
+    monitor = FrameWindowMonitor(config)
+    window = deque(maxlen=config.samples_per_window)
+    time_s = 0.0
+    for op, arg in ops:
+        if op == "observe":
+            time_s += config.sample_period_s
+            assert monitor.observe(time_s, arg)
+            window.append(quantise_fps(arg, 4, config.max_fps))
+        elif op == "reset":
+            monitor.reset()
+            window.clear()
+        else:
+            monitor.load_state_dict({"samples": arg})
+            window = deque(arg, maxlen=config.samples_per_window)
+        counts = Counter(window)
+        if counts:
+            best = max(counts.values())
+            expected_mode = max(level for level, count in counts.items() if count == best)
+        else:
+            expected_mode = 0
+        assert monitor.mode_level() == expected_mode
+        assert monitor.mode_level() == expected_mode  # served from the cache
+        assert monitor.histogram() == tuple(sorted(counts.items()))
 
 
 @given(st.floats(min_value=0.0, max_value=300.0, allow_nan=False), st.integers(min_value=1, max_value=120))
