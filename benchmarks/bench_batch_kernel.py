@@ -24,13 +24,18 @@ measured batched device-ticks/s regressed more than ``--max-regression``
 (2x by default) versus the committed baseline -- generous on purpose so
 shared CI runners do not flake the build.
 
-The report's ``crossover`` section is informational and gates nothing: at
-small widths it times the two routes the sweep runner chooses between --
-a group of baseline cells (``execute_cells_batched`` vs ``execute_cell``
-per cell) and a federated round (``train_device_rounds_batched`` vs
-``train_device_round`` per device) -- interleaved in one process, and
-reports each width's batch/scalar wall ratio.  Where that ratio crosses
-1.0 is what ``repro.experiments.federated.BATCH_MIN_LANES`` is set from.
+``--crossover`` measures something else, informational and gating
+nothing: at small widths it times the two routes the sweep runner chooses
+between -- a group of baseline cells (``execute_cells_batched`` vs
+``execute_cell`` per cell) and a federated round
+(``train_device_rounds_batched`` vs ``train_device_round`` per device) --
+interleaved in one process, and reports each width's batch/scalar wall
+ratio.  Where that ratio crosses 1.0 is what
+``repro.experiments.federated.BATCH_MIN_LANES`` is set from.  A masked
+group (half the lanes a quarter as long as the rest) checks that the
+crossover is counted in effective lanes rather than in cells::
+
+    python benchmarks/bench_batch_kernel.py --crossover --output crossover.json
 
 Requires NumPy (the batch kernel is NumPy-backed); the CI bench-smoke job
 installs it, the plain test job does not.
@@ -71,6 +76,14 @@ CROSSOVER_LANES = (2, 4, 8, 16, 32)
 #: Session length of a crossover cell and episode length of a crossover
 #: device round, per profile (6 s matches the sweep benchmark's app cells).
 CROSSOVER_SESSION_S = {"full": 6.0, "fast": 2.0}
+
+#: Widths of the masked crossover groups: half app cells of the short
+#: session, half game cells of the long one, so 5/8 of the lanes are live
+#: on average (10 and 20 effective lanes).
+MASKED_LANES = (16, 32)
+
+#: (short, long) session lengths of a masked crossover group, per profile.
+MASKED_SESSION_S = {"full": (2.0, 8.0), "fast": (0.5, 2.0)}
 
 
 def _best_of(repeat, fn):
@@ -146,6 +159,7 @@ def measure_crossover(profile: str = "full", repeat: int = 3) -> dict:
     """
     from repro.core.agent import AgentConfig, NextAgent
     from repro.experiments.federated import (
+        effective_lanes,
         train_device_round,
         train_device_rounds_batched,
     )
@@ -154,14 +168,15 @@ def measure_crossover(profile: str = "full", repeat: int = 3) -> dict:
 
     session_s = CROSSOVER_SESSION_S[profile]
 
-    def cells_of(n):
+    def cells_of(n, duration_s=session_s, game_duration_s=None):
         governors = ("schedutil", "powersave", "performance", "conservative")
         matrix = ScenarioMatrix.build(
             name="crossover",
             governors=governors,
-            apps=("facebook", "spotify"),
+            apps=("facebook", "spotify" if game_duration_s is None else "lineage"),
             seeds=tuple(range(-(-n // 8))),
-            duration_s=session_s,
+            duration_s=duration_s,
+            game_duration_s=game_duration_s,
         )
         return matrix.cells()[:n]
 
@@ -207,6 +222,19 @@ def measure_crossover(profile: str = "full", repeat: int = 3) -> dict:
             lambda: train_device_rounds_batched(jobs),
             lambda: [train_device_round(*job) for job in jobs],
         )
+    short_s, long_s = MASKED_SESSION_S[profile]
+    results["masked_cells"] = {"session_s": [short_s, long_s]}
+    for n in MASKED_LANES:
+        cells = cells_of(n, duration_s=short_s, game_duration_s=long_s)
+        results["masked_cells"][str(n)] = dict(
+            effective_lanes=effective_lanes(
+                [cell.workload.duration_s for cell in cells]
+            ),
+            **interleaved(
+                lambda: execute_cells_batched(cells),
+                lambda: [execute_cell(cell) for cell in cells],
+            ),
+        )
     return results
 
 
@@ -225,8 +253,6 @@ def build_report(profile: str, repeat: int) -> dict:
             "scalar_us_per_tick": results["scalar_us_per_tick"],
         },
         "after": results,
-        # Informational: check_regression never reads it.
-        "crossover": measure_crossover(profile=profile, repeat=repeat),
     }
 
 
@@ -270,9 +296,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--repeat", type=int, default=3, help="best-of repetitions")
     parser.add_argument(
+        "--crossover",
+        action="store_true",
+        help="measure only the informational batch/scalar crossover instead",
+    )
+    parser.add_argument(
         "--output",
-        default="BENCH_batch_kernel.json",
-        help="where to write the report JSON",
+        default=None,
+        help="where to write the report JSON (default BENCH_batch_kernel.json; "
+        "with --crossover, only printed unless given)",
     )
     parser.add_argument(
         "--check-against",
@@ -286,6 +318,8 @@ def main(argv=None) -> int:
         help="fail only if device-ticks/sec dropped by more than this factor",
     )
     args = parser.parse_args(argv)
+    if args.crossover and args.check_against:
+        parser.error("--crossover is informational: it has no --check-against gate")
 
     # Load the baseline BEFORE writing anything: with the default --output the
     # gate may point at the very file we are about to overwrite.
@@ -295,12 +329,18 @@ def main(argv=None) -> int:
             baseline = json.load(handle)
 
     profile = "fast" if args.fast else "full"
-    report = build_report(profile=profile, repeat=args.repeat)
+    if args.crossover:
+        report = measure_crossover(profile=profile, repeat=args.repeat)
+        output = args.output
+    else:
+        report = build_report(profile=profile, repeat=args.repeat)
+        output = args.output or "BENCH_batch_kernel.json"
     print(json.dumps(report, indent=2))
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.output}")
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote {output}")
     if baseline is not None:
         return check_regression(report, baseline, args.max_regression)
     return 0

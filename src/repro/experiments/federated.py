@@ -133,8 +133,11 @@ def batch_kernel_available() -> bool:
 #: mostly small-array NumPy calls -- that only width amortises.  On a
 #: 2-core Xeon (Python 3.11, NumPy 2.4) batch/scalar wall ratios were
 #: 2.2-2.7 at 4 lanes, 1.4-1.6 at 8, 0.9-1.1 at 16 and 0.6-0.9 at 24-32,
-#: for baseline cells and fleet device rounds alike.  The ``crossover``
-#: section of ``benchmarks/bench_batch_kernel.py`` measures those ratios.
+#: for baseline cells and fleet device rounds alike.  Lanes count as
+#: effective lanes because a masked group is as slow as its live width:
+#: 16 cells of which half retire a quarter of the way through (10
+#: effective lanes) ran 1.2x slower batched, 32 such cells (20) 0.9x.
+#: ``python benchmarks/bench_batch_kernel.py --crossover`` measures these.
 BATCH_MIN_LANES = 16
 
 

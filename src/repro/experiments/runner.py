@@ -55,12 +55,10 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 from repro.core.artifact import AgentArtifact, TrainingSpec
 from repro.core.federated import FleetArtifact, FleetSpec
 from repro.core.persistence import atomic_write_json, list_entry_paths
-from repro.experiments import federated
 from repro.experiments.artifacts import ArtifactStore, train_artifact
 from repro.experiments.federated import (
     FleetBuild,
     FleetStore,
-    effective_lanes,
     round_lane_seconds,
     train_device_round,
     train_device_rounds_batched,
@@ -480,13 +478,12 @@ def batchable_cell_groups(
     route, which :func:`~repro.experiments.federated.use_batch_kernel`
     decides from its cells' session lengths: at least
     :data:`~repro.experiments.federated.BATCH_MIN_LANES` effective lanes,
-    and NumPy importable.  A bucket splits into up to ``workers`` chunks so
-    a process pool still spreads a large sweep across its workers, but
-    never into a chunk below that crossover: it gets ``min(workers,
-    effective_lanes // BATCH_MIN_LANES)`` chunks, fewer when an uneven
-    split would leave one short, and a bucket too narrow for even one
-    chunk runs scalar whole.  NumPy is imported only once a chunk clears
-    the crossover.
+    and NumPy importable.  A bucket splits into one chunk per worker (of at
+    least two cells) so a process pool still spreads a large sweep across
+    its workers, and it batches only when every chunk clears that
+    crossover; otherwise its cells run scalar, fanned out across the pool
+    one by one, which beats fewer, wider chunks that would leave workers
+    idle.  NumPy is imported only once a chunk clears the crossover.
 
     Returns ``(groups, rest)`` preserving the original ``(index, cell)``
     pairs; ``rest`` keeps its input order.
@@ -506,19 +503,11 @@ def batchable_cell_groups(
         buckets.setdefault(key, []).append((index, cell))
     groups: List[List[Tuple[int, ScenarioCell]]] = []
     for bucket in buckets.values():
-        # Read through the module: the crossover is one constant, which
-        # use_batch_kernel reads the same way.
-        widest = int(
-            effective_lanes(_lane_seconds(bucket)) // federated.BATCH_MIN_LANES
-        )
-        for chunk_count in range(min(workers, widest), 0, -1):
-            size = -(-len(bucket) // chunk_count)  # ceil division
-            chunks = [
-                bucket[start : start + size] for start in range(0, len(bucket), size)
-            ]
-            if all(use_batch_kernel(_lane_seconds(chunk)) for chunk in chunks):
-                groups.extend(chunks)
-                break
+        chunk_count = max(1, min(workers, len(bucket) // 2))
+        size = -(-len(bucket) // chunk_count)  # ceil division
+        chunks = [bucket[start : start + size] for start in range(0, len(bucket), size)]
+        if all(use_batch_kernel(_lane_seconds(chunk)) for chunk in chunks):
+            groups.extend(chunks)
         else:
             rest.extend(bucket)
     rest.sort(key=lambda pair: pair[0])

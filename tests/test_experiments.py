@@ -663,7 +663,7 @@ class TestBatchRouting:
         assert use_batch_kernel(round_lane_seconds(wide))
         assert not use_batch_kernel(round_lane_seconds(wide[1:]))
 
-    def test_pool_chunks_never_fall_below_the_crossover(self):
+    def test_pool_batches_only_when_every_worker_gets_a_wide_chunk(self):
         pytest.importorskip("numpy")
         from repro.experiments.federated import BATCH_MIN_LANES
         from repro.experiments.runner import batchable_cell_groups
@@ -675,10 +675,14 @@ class TestBatchRouting:
             seeds=tuple(range(BATCH_MIN_LANES // 2)),
             duration_s=1.0,
         )
-        cells = matrix.cells()[: 2 * BATCH_MIN_LANES - 1]
-        groups, rest = batchable_cell_groups(list(enumerate(cells)), workers=2)
-        assert rest == []
-        assert [len(group) for group in groups] == [len(cells)]
+        cells = list(enumerate(matrix.cells()[: 2 * BATCH_MIN_LANES - 1]))
+        # Two workers would each get a chunk below the crossover: one wide
+        # chunk would idle the other worker, so the cells fan out scalar.
+        groups, rest = batchable_cell_groups(cells, workers=2)
+        assert groups == [] and rest == cells
+        # One worker batches the same cells as one chunk.
+        groups, rest = batchable_cell_groups(cells, workers=1)
+        assert [len(group) for group in groups] == [len(cells)] and rest == []
         groups, _ = batchable_cell_groups(
             list(enumerate(matrix.cells()[: 2 * BATCH_MIN_LANES])), workers=2
         )

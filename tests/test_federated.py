@@ -255,6 +255,28 @@ class TestFleetTraining:
         again = train_fleet_artifact(tiny_fleet_spec())
         assert again.to_dict() == fleet_artifact.to_dict()
 
+    def test_batch_route_matches_the_device_by_device_route(
+        self, fleet_artifact, batch_route_from_two_lanes, monkeypatch
+    ):
+        # fleet_artifact's two-device rounds ran device by device (below
+        # the crossover); with the crossover lowered every round after the
+        # artifact-trained round 0 runs batched.
+        pytest.importorskip("numpy")
+        from repro.experiments import federated
+
+        batched_rounds = []
+        batched = federated.train_device_rounds_batched
+
+        def counting(jobs, attempt=0):
+            batched_rounds.append(len(jobs))
+            return batched(jobs, attempt=attempt)
+
+        monkeypatch.setattr(federated, "train_device_rounds_batched", counting)
+        spec = tiny_fleet_spec()
+        again = train_fleet_artifact(spec)
+        assert batched_rounds == [spec.devices] * (spec.rounds - 1)
+        assert again.to_dict() == fleet_artifact.to_dict()
+
     def test_resume_matches_from_scratch(self, fleet_artifact):
         shallow = train_fleet_artifact(tiny_fleet_spec(rounds=1))
         resumed = train_fleet_artifact(tiny_fleet_spec(rounds=2), start=shallow)
